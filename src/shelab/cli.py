@@ -8,6 +8,7 @@ Subcommands mirror the experiment kinds:
     shelab fdd          ...
     shelab shift-check  ...
     shelab oracle       ...
+    shelab diagnostics  ...
     shelab report       --out DIR     (pretty-print an existing run report)
 
 The config file is JSON with the fields of ExperimentConfig; command-line

@@ -5,8 +5,9 @@ chunks of replicate ids (the chunking depends only on the replicate count,
 never on the worker count), every record a worker returns is a pure function
 of (config, master_seed, replicate id), and aggregation sorts by replicate
 id.  Estimates and CSV bodies are therefore byte-identical across any worker
-layout.  Calibration replicates use the id range [replicates,
-replicates + calibration_replicates), disjoint from the estimation set.
+layout.  Only the clt driver reads calibration_replicates: its calibration
+pass uses the id range [replicates, replicates + calibration_replicates),
+disjoint from the estimation set.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ BAND_FDD_RATIO = (0.5, 1.5)
 BAND_HOLDER = (0.2, 0.3)
 KS_SIGNIFICANCE = 1e-3
 
+# diagnostics second-moment probe: Gbar(t, x)^k against the Volterra oracle
+_GBAR_PROBE_DEFAULTS = {"t": 0.5, "x": 0.0, "k": 2, "volterra_levels": 96}
+
 
 class ConfigError(ValueError):
     """Raised with the full list of violated invariants."""
@@ -81,7 +85,7 @@ class ExperimentConfig:
     boundary: str = "dirichlet_zero"
     # ensemble
     replicates: int = 100
-    calibration_replicates: int = 20
+    calibration_replicates: int = 20  # read by clt only; validated for every kind
     times: list = field(default_factory=lambda: [1.0])
     # covariance
     lags: list = field(default_factory=list)
@@ -134,12 +138,7 @@ class ExperimentConfig:
         if not self.times or sorted(self.times) != list(self.times):
             bad.append("times must be a nonempty ascending list")
         if grid is not None and self.times:
-            for t in self.times:
-                try:
-                    if grid.step_of(t) <= 0:
-                        bad.append(f"time {t} must be positive")
-                except ValueError as e:
-                    bad.append(str(e))
+            bad += _time_violations(grid, "time", self.times)
             t_max = max(self.times)
             x_max = 0.0
             if self.kind == "covariance":
@@ -157,6 +156,8 @@ class ExperimentConfig:
                     bad.append(f"{self.kind} needs a nonempty n_values list")
                 if any(N < 3 for N in self.n_values):
                     bad.append("every N must be >= 3 (log N > 1)")
+                if self.kind == "fdd" and len(self.times) != 2:
+                    bad.append("fdd needs exactly two times")
                 x_max = max(self.n_values, default=0.0)
             elif self.kind == "shift_check":
                 if self.shift_s is None or not self.shift_probes:
@@ -167,6 +168,17 @@ class ExperimentConfig:
                             default=0.0)
             elif self.kind == "diagnostics":
                 x_max = self.first_moment_xmax
+                bad += _time_violations(grid, "holder_s_values", self.holder_s_values)
+                if self.gbar_probe:
+                    probe = {**_GBAR_PROBE_DEFAULTS, **self.gbar_probe}
+                    bad += _time_violations(grid, "gbar_probe.t", [probe["t"]])
+                    try:
+                        grid.index_of(float(probe["x"]))
+                    except ValueError as e:
+                        bad.append(f"gbar_probe.x: {e}")
+                    if probe["k"] != 2:
+                        bad.append("gbar_probe.k must be 2, the only moment "
+                                   "order with a Volterra oracle")
             if not grid.covers(t_max, x_max):
                 bad.append(
                     f"half_width {grid.half_width} < x_max + 8 sqrt(t_max) "
@@ -198,6 +210,18 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _time_violations(grid, name, times):
+    """One violation per time that is not a positive multiple of dt."""
+    bad = []
+    for t in times:
+        try:
+            if grid.step_of(t) <= 0:
+                bad.append(f"{name}: {t} must be positive")
+        except ValueError as e:
+            bad.append(f"{name}: {e}")
+    return bad
 
 
 @dataclass
@@ -295,84 +319,68 @@ def fit_decay(cov, lag_window) -> FitDecayResult:
 # parallel scaffolding
 # ---------------------------------------------------------------------------
 
-def _chunks(ids):
+def _chunk_map(cfg: ExperimentConfig, grid: GridSpec, worker, ids, *params):
+    """worker((grid kwargs, master seed, chunk, *params)) for each chunk of
+    _CHUNK consecutive ids, results in chunk order; chunks run in worker
+    processes when cfg.workers > 1."""
+    gridkw = dict(dx=grid.dx, half_width=grid.half_width, dt=grid.dt,
+                  boundary=grid.boundary)
     ids = list(ids)
-    return [ids[i:i + _CHUNK] for i in range(0, len(ids), _CHUNK)]
+    args = [(gridkw, cfg.master_seed, ids[i:i + _CHUNK], *params)
+            for i in range(0, len(ids), _CHUNK)]
+    if cfg.workers <= 1 or len(args) <= 1:
+        return [worker(a) for a in args]
+    with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
+        return list(ex.map(worker, args))
 
 
-def _map_chunks(fn, args_list, workers):
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, args_list))
+# workers and transforms are top-level functions so they pickle under any
+# start method
 
-
-def _gridkw(grid: GridSpec) -> dict:
-    return dict(dx=grid.dx, half_width=grid.half_width, dt=grid.dt,
-                boundary=grid.boundary)
-
-
-# workers are top-level functions so they pickle under any start method
-
-def _residual_rows_worker(args):
-    """Residual rows r = log Z - log p_t on a position window, per checkpoint.
-
-    mode 'absolute' masks underflowed cells; mode 'relative' stays finite on
-    the whole noise cone.
-    """
-    gridkw, seed, ids, steps, lo, hi, mode = args
+def _ensemble_worker(args):
+    """transform(block[:, window], t, x_window) per checkpoint step for one
+    chunk evolved by the batch engine; the window is the cells with
+    lo <= x <= hi."""
+    gridkw, seed, ids, steps, mode, lo, hi, transform = args
     grid = GridSpec(**gridkw)
-    eng = _BatchEngine(grid, seed, mode=mode)
     pos = grid.positions()
     sel = np.where((pos >= lo - 1e-9) & (pos <= hi + 1e-9))[0]
     out = {}
 
-    def consume(step, reps, Z):
-        t = step * grid.dt
-        logp = log_heat_kernel(t, pos[sel])
-        if mode == "relative":
-            rows = Z[:, sel] - logp
-        else:
-            Zw = Z[:, sel]
-            with np.errstate(divide="ignore"):
-                rows = np.log(Zw) - logp
-        out[step] = rows.astype(np.float64)
+    def consume(step, reps, block):
+        out[step] = transform(block[:, sel], step * grid.dt, pos[sel])
 
-    eng.run(ids, steps, consume)
-    return ids, out
+    _BatchEngine(grid, seed, mode=mode).run(ids, steps, consume)
+    return out
 
 
-def _gbar_rows_worker(args):
-    """Rows of Z(t, x)/p_t(x) on a window (absolute mode)."""
-    gridkw, seed, ids, steps, lo, hi = args
-    grid = GridSpec(**gridkw)
-    eng = _BatchEngine(grid, seed, mode="absolute")
-    pos = grid.positions()
-    sel = np.where((pos >= lo - 1e-9) & (pos <= hi + 1e-9))[0]
-    out = {}
-
-    def consume(step, reps, Z):
-        t = step * grid.dt
-        out[step] = Z[:, sel] * np.exp(-log_heat_kernel(t, pos[sel]))
-
-    eng.run(ids, steps, consume)
-    return ids, out
+def _ensemble(cfg, grid, ids, steps, mode, lo, hi, transform):
+    """{step: rows of _ensemble_worker stacked in the order of ids}."""
+    results = _chunk_map(cfg, grid, _ensemble_worker, ids, steps, mode, lo, hi,
+                         transform)
+    return {k: np.concatenate([out[k] for out in results]) for k in steps}
 
 
-def _center_gbar_worker(args):
-    """Gbar(s, 0) at a ladder of checkpoint steps (absolute mode)."""
-    gridkw, seed, ids, steps = args
-    grid = GridSpec(**gridkw)
-    eng = _BatchEngine(grid, seed, mode="absolute")
-    i0 = grid.origin_index
-    cols = {}
+def _log_residual(Z, t, x):
+    """r = log Z - log p_t from absolute-mode Z; -inf where Z underflowed."""
+    with np.errstate(divide="ignore"):
+        return np.log(Z) - log_heat_kernel(t, x)
 
-    def consume(step, reps, Z):
-        t = step * grid.dt
-        cols[step] = Z[:, i0] * math.exp(-float(log_heat_kernel(t, 0.0)))
 
-    eng.run(ids, steps, consume)
-    return ids, cols
+def _relative_residual(logZ, t, x):
+    """r = log Z - log p_t from relative-mode log Z, finite on the noise cone."""
+    return logZ - log_heat_kernel(t, x)
+
+
+def _gbar(Z, t, x):
+    """Z(t, x) / p_t(x)."""
+    return Z * np.exp(-log_heat_kernel(t, x))
+
+
+def _center_gbar(Z, t, x):
+    """Z(t, 0) / p_t(0) on a one-cell window at the origin cell.  The scalar
+    math.exp is kept: np.exp differs in the last bit at some steps."""
+    return Z[:, 0] * math.exp(-float(log_heat_kernel(t, 0.0)))
 
 
 def _shift_worker(args):
@@ -394,18 +402,14 @@ def _run_covariance(cfg: ExperimentConfig):
     t = cfg.times[-1]
     k = grid.step_of(t)
     lo, hi = cfg._bulk(grid)
-    args = [(_gridkw(grid), cfg.master_seed, ch, [k], lo, hi, "absolute")
-            for ch in _chunks(range(cfg.replicates))]
-    results = _map_chunks(_residual_rows_worker, args, cfg.workers)
+    rows = _ensemble(cfg, grid, range(cfg.replicates), [k], "absolute", lo, hi,
+                     _log_residual)[k]
 
     pos = grid.positions()
     sel = (pos >= lo - 1e-9) & (pos <= hi + 1e-9)
     acc = CovarianceAccumulator(pos[sel])
-    for ids, out in results:
-        rows = out[k]
-        for i, rid in enumerate(ids):
-            row = rows[i]
-            acc.add(rid, row, np.isfinite(row))
+    for rid, row in enumerate(rows):
+        acc.add(rid, row, np.isfinite(row))
     est = acc.finalize(t, cfg.lags, cfg.decorrelation_window)
 
     tables = {"covariance": [
@@ -479,27 +483,26 @@ def _clt_samples(cfg: ExperimentConfig, grid, times, n_values, rep_range):
     """Per-replicate X_N samples for each (t, N); relative-mode engine."""
     steps = [grid.step_of(t) for t in times]
     n_max = max(n_values)
-    args = [(_gridkw(grid), cfg.master_seed, ch, steps, 0.0, n_max, "relative")
-            for ch in _chunks(rep_range)]
-    results = _map_chunks(_residual_rows_worker, args, cfg.workers)
+    ids = list(rep_range)
+    rows_at = _ensemble(cfg, grid, ids, steps, "relative", 0.0, n_max,
+                        _relative_residual)
     wpos = grid.positions()
     sel = (wpos >= -1e-9) & (wpos <= n_max + 1e-9)
     window = wpos[sel]
     samples = {(t, N): {} for t in times for N in n_values}
     means = {}
-    for ids, out in results:
-        for t, k in zip(times, steps):
-            rows = out[k]
-            if not np.isfinite(rows).all():
-                raise RuntimeError(
-                    f"residual window [0, {n_max:g}] not fully inside the "
-                    f"noise cone at t={t:g}; enlarge t or shrink N")
-            for i, rid in enumerate(ids):
-                means.setdefault(t, []).append(rows[i])
-                for N in n_values:
-                    m = window <= N + 1e-9
-                    val = np.trapezoid(rows[i][m], dx=grid.dx)
-                    samples[(t, N)][rid] = val / math.sqrt(N * math.log(N))
+    for t, k in zip(times, steps):
+        rows = rows_at[k]
+        if not np.isfinite(rows).all():
+            raise RuntimeError(
+                f"residual window [0, {n_max:g}] not fully inside the "
+                f"noise cone at t={t:g}; enlarge t or shrink N")
+        means[t] = list(rows)
+        for rid, row in zip(ids, rows):
+            for N in n_values:
+                m = window <= N + 1e-9
+                val = np.trapezoid(row[m], dx=grid.dx)
+                samples[(t, N)][rid] = val / math.sqrt(N * math.log(N))
     return samples, means, window
 
 
@@ -555,8 +558,6 @@ def _run_clt(cfg: ExperimentConfig):
 def _run_fdd(cfg: ExperimentConfig):
     grid = cfg.grid()
     times = [float(t) for t in cfg.times]
-    if len(times) != 2:
-        raise ConfigError(["fdd needs exactly two times"])
     N = float(cfg.n_values[0])
     samples, _, _ = _clt_samples(cfg, grid, times, [N], range(cfg.replicates))
     t1, t2 = times
@@ -584,9 +585,8 @@ def _run_shift_check(cfg: ExperimentConfig):
     verdicts = []
     details = {}
     for (x, y) in cfg.shift_probes:
-        args = [(_gridkw(grid), cfg.master_seed, ch, t, s, float(x), float(y))
-                for ch in _chunks(range(cfg.replicates))]
-        results = _map_chunks(_shift_worker, args, cfg.workers)
+        results = _chunk_map(cfg, grid, _shift_worker, range(cfg.replicates),
+                             t, s, float(x), float(y))
         lhs = np.concatenate([r[0] for r in results])
         rhs = np.concatenate([r[1] for r in results])
         dropped = sum(r[2] for r in results)
@@ -673,10 +673,8 @@ def _run_diagnostics(cfg: ExperimentConfig):
     # first-moment identity: E[Z(t,x)]/p_t(x) in 1 +- (3 SE + 2%)
     xmax = cfg.first_moment_xmax
     k = grid.step_of(t)
-    args = [(_gridkw(grid), cfg.master_seed, ch, [k], -xmax, xmax)
-            for ch in _chunks(range(cfg.replicates))]
-    results = _map_chunks(_gbar_rows_worker, args, cfg.workers)
-    rows = np.vstack([out[k] for _, out in results])
+    reps = range(cfg.replicates)
+    rows = _ensemble(cfg, grid, reps, [k], "absolute", -xmax, xmax, _gbar)[k]
     mean = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
     dev = np.abs(mean - 1.0)
@@ -698,13 +696,12 @@ def _run_diagnostics(cfg: ExperimentConfig):
     if cfg.holder_s_values:
         svals = [float(s) for s in cfg.holder_s_values]
         steps = [grid.step_of(s) for s in svals]
-        args = [(_gridkw(grid), cfg.master_seed, ch, steps)
-                for ch in _chunks(range(cfg.replicates))]
-        results = _map_chunks(_center_gbar_worker, args, cfg.workers)
+        x0 = float(pos[grid.origin_index])
+        cols = _ensemble(cfg, grid, reps, steps, "absolute", x0, x0, _center_gbar)
         norms = []
         tables["holder"] = []
         for s, kstep in zip(svals, steps):
-            g = np.concatenate([cols[kstep] for _, cols in results])
+            g = cols[kstep]
             nrm = math.sqrt(float(((g - 1.0) ** 2).mean()))
             norms.append(nrm)
             tables["holder"].append(("holder_l2", s, s, nrm, 0.0, g.size))
@@ -716,18 +713,15 @@ def _run_diagnostics(cfg: ExperimentConfig):
         extras["holder_exponent"] = float(slope)
     # second-moment oracle equivalence at the gbar probe
     if cfg.gbar_probe:
-        pt = float(cfg.gbar_probe.get("t", 0.5))
-        px = float(cfg.gbar_probe.get("x", 0.0))
-        korder = int(cfg.gbar_probe.get("k", 2))
-        levels = int(cfg.gbar_probe.get("volterra_levels", 96))
+        probe = {**_GBAR_PROBE_DEFAULTS, **cfg.gbar_probe}
+        pt, px = float(probe["t"]), float(probe["x"])
+        korder = int(probe["k"])
         kstep = grid.step_of(pt)
-        args = [(_gridkw(grid), cfg.master_seed, ch, [kstep], px, px)
-                for ch in _chunks(range(cfg.replicates))]
-        results = _map_chunks(_gbar_rows_worker, args, cfg.workers)
-        g = np.concatenate([out[kstep][:, 0] for _, out in results]) ** korder
+        g = _ensemble(cfg, grid, reps, [kstep], "absolute", px, px, _gbar)[kstep]
+        g = g[:, 0] ** korder
         mc, mc_se = float(g.mean()), float(g.std(ddof=1) / math.sqrt(g.size))
-        oracle = second_moment_volterra(pt, time_levels=levels)
-        ref = oracle.second_moment_ratio(px) if korder == 2 else None
+        oracle = second_moment_volterra(pt, time_levels=int(probe["volterra_levels"]))
+        ref = oracle.second_moment_ratio(px)
         tables["gbar_moment"] = [
             ("gbar_moment_mc", pt, float(korder), mc, mc_se, g.size),
             ("gbar_moment_volterra", pt, float(korder), ref, oracle.self_convergence, 1),

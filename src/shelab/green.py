@@ -24,8 +24,8 @@ import numpy as np
 from scipy.ndimage import convolve1d
 
 from .kernels import heat_kernel
-from .noise import NoiseStream
-from .sim import Field, GridSpec, _conv_mode, heat_step_weights
+from .noise import NoiseStream, _FastNormals
+from .sim import Field, GridSpec, _conv_mode, heat_step_weights, noise_factors
 
 __all__ = [
     "GreenField",
@@ -76,11 +76,43 @@ class ShiftIdentityCheck:
         return math.hypot(self.lhs_se, self.rhs_se)
 
 
-def _step_factors(grid, stream, step):
-    sig = np.sqrt(grid.dt / grid.dx)
-    comp = grid.dt / (2.0 * grid.dx)
-    xi = stream.normals(step, grid.cell_count)
-    return np.exp(sig * xi - comp)
+def _stream_factors(grid, stream):
+    """factors(k): the noise factors of step k drawn from `stream`."""
+    return lambda k: noise_factors(grid, stream.normals(k, grid.cell_count))
+
+
+def _forward(grid, fields, starts, factors, k0, k1):
+    """Advance the rows of `fields` from step k0 to step k1.
+
+    Row i receives its Dirac mass 1/dx at cell starts[i][1] just before step
+    starts[i][0]; rows not yet activated are identically zero, and both the
+    heat step and the noise step fix zero.  Every row takes the same noise
+    factors(k) at step k.
+    """
+    w = heat_step_weights(grid.dx, grid.dt)
+    mode = _conv_mode(grid.boundary)
+    for k in range(k0, k1):
+        for i, (ks, iy) in enumerate(starts):
+            if ks == k:
+                fields[i, iy] = 1.0 / grid.dx
+        fields = convolve1d(fields, w, axis=1, mode=mode, cval=0.0)
+        fields *= factors(k)[None, :]
+    return fields
+
+
+def _adjoint(grid, v, factors, k0, k1):
+    """Apply the transposed steps k1 - 1 down to k0 to the row v.
+
+    The forward propagator over those steps is M = prod_k (N_k C) with C
+    the symmetric heat convolution and N_k the diagonal noise factors, so
+    M^T v is one backward sweep: multiply by N_k, then convolve.
+    """
+    w = heat_step_weights(grid.dx, grid.dt)
+    mode = _conv_mode(grid.boundary)
+    for k in range(k1 - 1, k0 - 1, -1):
+        v = v * factors(k)
+        v = convolve1d(v, w, mode=mode, cval=0.0)
+    return v
 
 
 def evolve_shared(grid: GridSpec, stream, sources, t_final: float) -> list[GreenField]:
@@ -97,17 +129,8 @@ def evolve_shared(grid: GridSpec, stream, sources, t_final: float) -> list[Green
         if not 0 <= ks < k_final:
             raise ValueError(f"source time {s} not in [0, t_final)")
         starts.append((ks, grid.index_of(y)))
-    w = heat_step_weights(grid.dx, grid.dt)
-    mode = _conv_mode(grid.boundary)
-    n = grid.cell_count
-    fields = np.zeros((len(sources), n))
-    for k in range(k_final):
-        for i, (ks, iy) in enumerate(starts):
-            if ks == k:
-                fields[i, iy] = 1.0 / grid.dx
-        # rows not yet activated are identically zero; both steps fix zero
-        fields = convolve1d(fields, w, axis=1, mode=mode, cval=0.0)
-        fields *= _step_factors(grid, stream, k)[None, :]
+    fields = _forward(grid, np.zeros((len(sources), grid.cell_count)), starts,
+                      _stream_factors(grid, stream), 0, k_final)
     t_final = k_final * grid.dt
     return [
         GreenField(source_time=s, source_position=y,
@@ -120,21 +143,15 @@ def green_row_adjoint(grid: GridSpec, stream, x_probe: float,
                       s: float, t: float) -> np.ndarray:
     """G(t, x_probe; s, z) for every grid cell z, via one backward pass.
 
-    The forward propagator over [s, t] is M = prod_k (N_k C) with C the
-    symmetric heat convolution and N_k the diagonal noise factors; the
-    requested values form the x_probe row of M / dx, i.e. M^T e / dx.
+    The requested values form the x_probe row of the forward propagator M
+    over [s, t], divided by dx, i.e. M^T e / dx.
     """
     ks, kt = grid.step_of(s), grid.step_of(t)
     if not 0 <= ks < kt:
         raise ValueError("need s < t on the dt lattice")
-    w = heat_step_weights(grid.dx, grid.dt)
-    mode = _conv_mode(grid.boundary)
     v = np.zeros(grid.cell_count)
     v[grid.index_of(x_probe)] = 1.0
-    for k in range(kt - 1, ks - 1, -1):
-        v = v * _step_factors(grid, stream, k)
-        v = convolve1d(v, w, mode=mode, cval=0.0)
-    return v / grid.dx
+    return _adjoint(grid, v, _stream_factors(grid, stream), ks, kt) / grid.dx
 
 
 def gbar_value(gf: GreenField, x: float) -> float:
@@ -189,8 +206,6 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     checkpoints the (0,0) field at time s; one adjoint pass supplies the
     whole G(t,0;s,.) family.  Identical noise coordinates throughout.
     """
-    from .noise import _FastNormals
-
     kt, ks = grid.step_of(t), grid.step_of(s)
     if not 0 < ks < kt:
         raise ValueError("need 0 < s < t on the dt lattice")
@@ -211,40 +226,21 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     if min(p_ts_xy, p_t_x) == 0.0 or np.any(p_ts_z == 0.0) or np.any(p_s_zy == 0.0):
         raise ValueError("probe configuration reaches heat-kernel underflow")
 
-    w = heat_step_weights(grid.dx, grid.dt)
-    mode = _conv_mode(grid.boundary)
     rng = _FastNormals(master_seed)
-    sig = np.sqrt(grid.dt / grid.dx)
-    comp = grid.dt / (2.0 * grid.dx)
-    u = np.empty(n, dtype=np.uint64)
-    from .noise import _uniforms_to_normals
-
+    starts = [(0, i0), (ks, iy)]        # row 0: source (0,0); row 1: (s,y)
     lhs_vals, rhs_vals = [], []
     dropped = 0
     for rep in replicate_ids:
-        factors = np.empty((kt, n))
-        for k in range(kt):
-            rng.fill_u53(u, rep, k)
-            factors[k] = np.exp(sig * _uniforms_to_normals(u) - comp)
-        # merged forward pass: row 0 = source (0,0), row 1 = source (s,y)
-        F = np.zeros((2, n))
-        F[0, i0] = 1.0 / grid.dx
-        z_field = None
-        for k in range(kt):
-            if k == ks:
-                z_field = F[0].copy()
-                F[1, iy] = 1.0 / grid.dx
-            F = convolve1d(F, w, axis=1, mode=mode, cval=0.0)
-            F *= factors[k][None, :]
+        factors = noise_factors(
+            grid, np.vstack([rng.normals_block([rep], k, n) for k in range(kt)]))
+        F = _forward(grid, np.zeros((2, n)), starts, factors.__getitem__, 0, ks)
+        z_field = F[0].copy()
+        F = _forward(grid, F, starts, factors.__getitem__, ks, kt)
         den = F[0, ix]
         num = F[1, ix]
-        # adjoint pass from (t, 0) down to s
         v = np.zeros(n)
         v[i0] = 1.0
-        for k in range(kt - 1, ks - 1, -1):
-            v = v * factors[k]
-            v = convolve1d(v, w, mode=mode, cval=0.0)
-        row = v / grid.dx
+        row = _adjoint(grid, v, factors.__getitem__, ks, kt) / grid.dx
         zs = _shift_cells(z_field, shift)[keep]          # Z_s(z + y)
         gb_t = row[keep] / p_ts_z
         gb_s = zs / p_s_zy

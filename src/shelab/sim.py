@@ -20,6 +20,7 @@ batch engine has a kernel-relative mode for that regime (see _BatchEngine).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +29,7 @@ from scipy.ndimage import convolve1d
 from scipy.optimize import brentq
 
 from .kernels import log_heat_kernel
-from .noise import _FastNormals, _uniforms_to_normals
+from .noise import _FastNormals
 
 __all__ = [
     "GridSpec",
@@ -188,10 +189,12 @@ def noise_step(field: Field, noise_slice) -> Field:
         raise ValueError(
             f"noise slice length {xi.shape} does not match grid {field.values.shape}"
         )
-    sig = np.sqrt(g.dt / g.dx)
-    comp = g.dt / (2.0 * g.dx)
-    return Field(grid=g, time=field.time,
-                 values=field.values * np.exp(sig * xi - comp))
+    return Field(grid=g, time=field.time, values=field.values * noise_factors(g, xi))
+
+
+def noise_factors(grid: GridSpec, xi) -> np.ndarray:
+    """Mean-one lognormal factors exp(sqrt(dt/dx) xi - dt/(2 dx)) of normals xi."""
+    return np.exp(math.sqrt(grid.dt / grid.dx) * xi - grid.dt / (2.0 * grid.dx))
 
 
 def evolve(grid: GridSpec, stream, t_checkpoints) -> list[Field]:
@@ -270,8 +273,6 @@ class _BatchEngine:
         self.n = grid.cell_count
         self.w = heat_step_weights(grid.dx, grid.dt)
         self.half = len(self.w) // 2
-        self.sig = np.sqrt(grid.dt / grid.dx)
-        self.comp = grid.dt / (2.0 * grid.dx)
         self.rng = _FastNormals(master_seed)
         self._periodic = grid.boundary == "periodic"
 
@@ -297,6 +298,24 @@ class _BatchEngine:
         logK1[dead] = _LOG_FLOOR
         return logK1, stack
 
+    def _relative_heat_step(self, V, logK):
+        """One heat step of V = Z dx / K_k; returns (V', log K_{k+1})."""
+        logK1, stack = self._advance_logK(logK)
+        with np.errstate(invalid="ignore"):
+            tw = np.exp(stack - logK1)  # taps x n, each <= 1
+        tw[:, logK1 <= _LOG_FLOOR / 2] = 0.0
+        Vn = np.zeros_like(V)
+        for idx, s in enumerate(range(-self.half, self.half + 1)):
+            if self._periodic:
+                Vn += tw[idx] * np.roll(V, s, axis=1)
+            elif s == 0:
+                Vn += tw[idx] * V
+            elif s > 0:
+                Vn[:, s:] += tw[idx, s:] * V[:, :-s]
+            else:
+                Vn[:, :s] += tw[idx, :s] * V[:, -s:]
+        return Vn, logK1
+
     def run(self, replicate_ids, checkpoint_steps, consume):
         """Evolve the block and hand each checkpoint to `consume`.
 
@@ -306,53 +325,31 @@ class _BatchEngine:
         cone).
         """
         reps = list(replicate_ids)
-        B = len(reps)
-        n = self.n
-        last = max(checkpoint_steps)
         want = set(checkpoint_steps)
-        mode_rel = self.mode == "relative"
-        u = np.empty((B, n), dtype=np.uint64)
-
-        if mode_rel:
-            logK = np.full(n, _LOG_FLOOR)
-            logK[self.grid.origin_index] = 0.0
-            V = np.zeros((B, n))
-            V[:, self.grid.origin_index] = 1.0
+        relative = self.mode == "relative"
+        i0 = self.grid.origin_index
+        X = np.zeros((len(reps), self.n))     # V (relative) or Z (absolute)
+        if relative:
+            logK = np.full(self.n, _LOG_FLOOR)
+            logK[i0] = 0.0
+            X[:, i0] = 1.0
             logdx = np.log(self.grid.dx)
-            for k in range(last):
-                logK1, stack = self._advance_logK(logK)
-                with np.errstate(invalid="ignore"):
-                    tw = np.exp(stack - logK1)  # taps x n, each <= 1
-                tw[:, logK1 <= _LOG_FLOOR / 2] = 0.0
-                Vn = np.zeros_like(V)
-                for idx, s in enumerate(range(-self.half, self.half + 1)):
-                    if self._periodic:
-                        Vn += tw[idx] * np.roll(V, s, axis=1)
-                    elif s == 0:
-                        Vn += tw[idx] * V
-                    elif s > 0:
-                        Vn[:, s:] += tw[idx, s:] * V[:, :-s]
-                    else:
-                        Vn[:, :s] += tw[idx, :s] * V[:, -s:]
-                logK = logK1
-                for i, rid in enumerate(reps):
-                    self.rng.fill_u53(u[i], rid, k)
-                xi = _uniforms_to_normals(u)
-                np.multiply(Vn, np.exp(self.sig * xi - self.comp), out=Vn)
-                V = Vn
-                if k + 1 in want:
-                    with np.errstate(divide="ignore"):
-                        logZ = np.log(V) + (logK - logdx)
-                    consume(k + 1, reps, logZ)
         else:
-            Z = np.zeros((B, n))
-            Z[:, self.grid.origin_index] = 1.0 / self.grid.dx
+            X[:, i0] = 1.0 / self.grid.dx
             mode = _conv_mode(self.grid.boundary)
-            for k in range(last):
-                Z = convolve1d(Z, self.w, axis=1, mode=mode, cval=0.0)
-                for i, rid in enumerate(reps):
-                    self.rng.fill_u53(u[i], rid, k)
-                xi = _uniforms_to_normals(u)
-                np.multiply(Z, np.exp(self.sig * xi - self.comp), out=Z)
-                if k + 1 in want:
-                    consume(k + 1, reps, Z)
+        for k in range(max(checkpoint_steps)):
+            if relative:
+                X, logK = self._relative_heat_step(X, logK)
+            else:
+                X = convolve1d(X, self.w, axis=1, mode=mode, cval=0.0)
+            # xi stays alive until the next draw: freed before the multiply,
+            # its block went back to the OS and was faulted in again each
+            # step (about 12% of the run at n = 801, B = 64)
+            xi = self.rng.normals_block(reps, k, self.n)
+            X *= noise_factors(self.grid, xi)
+            if k + 1 in want:
+                block = X
+                if relative:
+                    with np.errstate(divide="ignore"):
+                        block = np.log(X) + (logK - logdx)
+                consume(k + 1, reps, block)

@@ -41,6 +41,40 @@ def test_validation_grid_coverage_and_lattice():
         _tiny_cov_cfg(times=[0.5003]).validate()
 
 
+def _tiny_diag_cfg(**over):
+    base = dict(kind="diagnostics", master_seed=3, dx=0.1, half_width=10.0,
+                times=[0.5], replicates=8, calibration_replicates=1,
+                first_moment_xmax=1.0, holder_s_values=[0.01, 0.02],
+                gbar_probe={"t": 0.25, "x": 0.5, "k": 2}, workers=1)
+    base.update(over)
+    return ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("over, needle", [
+    (dict(holder_s_values=[0.01, 0.0123]), "holder_s_values"),    # off dt lattice
+    (dict(holder_s_values=[0.0, 0.01]), "holder_s_values"),       # not positive
+    (dict(gbar_probe={"t": 0.2503}), "gbar_probe.t"),
+    (dict(gbar_probe={"t": -0.25}), "gbar_probe.t"),
+    (dict(gbar_probe={"x": 0.05}), "gbar_probe.x"),               # off dx lattice
+    (dict(gbar_probe={"x": 11.0}), "gbar_probe.x"),               # outside the grid
+    (dict(gbar_probe={"k": 3}), "gbar_probe.k"),                  # no oracle for k != 2
+])
+def test_validation_rejects_diagnostics_probes(over, needle):
+    _tiny_diag_cfg().validate()
+    with pytest.raises(ConfigError) as err:
+        _tiny_diag_cfg(**over).validate()
+    assert any(needle in v for v in err.value.violations)
+
+
+def test_validation_fdd_needs_two_times():
+    cfg = ExperimentConfig(kind="fdd", dx=0.1, half_width=30.0,
+                           times=[0.25, 0.5, 1.0], n_values=[5.0], replicates=1)
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    msgs = "\n".join(err.value.violations)
+    assert "exactly two times" in msgs and "replicates" in msgs
+
+
 def test_unknown_config_field_rejected():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "clt", "replicas": 5})

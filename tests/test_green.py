@@ -153,3 +153,30 @@ def test_shift_identity_sharding_concatenates():
     b = shift_identity_samples(grid, range(4, 8), 0.3, 0.1, 0.5, 0.0, master_seed=2)
     assert np.array_equal(np.concatenate([a[0], b[0]]), full[0])
     assert np.array_equal(np.concatenate([a[1], b[1]]), full[1])
+
+
+def test_shift_samples_match_public_passes(grid):
+    # both sides rebuilt from evolve_shared and green_row_adjoint on the same
+    # noise: the shift driver must be those passes, bit for bit
+    t, s, x, y, seed = 0.4, 0.2, 1.0, 0.5, 17
+    lhs, rhs, dropped = shift_identity_samples(grid, range(5), t, s, x, y,
+                                               master_seed=seed)
+    assert dropped == 0
+    z = grid.positions()
+    w = heat_kernel(s * (t - s) / t, z + y - (s / t) * x)
+    keep = w > w.max() * 1e-12
+    ix, i0 = grid.index_of(x), grid.origin_index
+    zy = np.nonzero(keep)[0] + grid.index_of(y) - i0    # cells of z + y
+    for rep in range(5):
+        stream = NoiseStream(seed, rep)
+        g0, gy = evolve_shared(grid, stream, [(0.0, 0.0), (s, y)], t)
+        z_s = evolve_shared(grid, stream, [(0.0, 0.0)], s)[0].field.values
+        row = green_row_adjoint(grid, stream, 0.0, s, t)
+        lhs_ref = ((gy.field.values[ix] / heat_kernel(t - s, x - y))
+                   / (g0.field.values[ix] / heat_kernel(t, x)))
+        gb_t = row[keep] / heat_kernel(t - s, z[keep])
+        gb_s = z_s[zy] / heat_kernel(s, z[keep] + y)
+        denom = float((w[keep] * gb_t * gb_s).sum() * grid.dx)
+        rhs_ref = (row[i0] / heat_kernel(t - s, 0.0)) / denom
+        assert lhs[rep] == lhs_ref
+        assert rhs[rep] == rhs_ref
