@@ -29,8 +29,8 @@ from .green import shift_identity_samples
 from .oracles import (lemma_2, lemma_s0, lemma_twotime, lemma_y,
                       limiting_constant, reduced_cov_integral,
                       second_moment_volterra)
-from .sim import GridSpec, _BatchEngine, discrete_kernel_log
-from .stats import CovarianceAccumulator, ks_normality, fdd_covariance
+from .sim import GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights
+from .stats import CovarianceAccumulator, ks_normality, fdd_covariance, mean_se
 
 __all__ = [
     "ExperimentConfig",
@@ -63,6 +63,14 @@ KS_SIGNIFICANCE = 1e-3
 # diagnostics second-moment probe: Gbar(t, x)^k against the Volterra oracle
 _GBAR_PROBE_DEFAULTS = {"t": 0.5, "x": 0.0, "k": 2, "volterra_levels": 96}
 
+# covariance stationarity check: KS pairs among the quintile points
+# q0..q4 of the bulk window, as (i, j) for (q_i, q_j)
+_STATIONARITY_PAIRS = ((0, 2), (2, 4), (1, 3), (0, 4), (1, 2), (2, 3), (0, 1),
+                       (3, 4), (0, 3), (1, 4))
+
+# oracle suite: N ladder of the lemma integrals, ascending
+_ORACLE_N_LADDER = (1e2, 1e3, 1e4)
+
 
 class ConfigError(ValueError):
     """Raised with the full list of violated invariants."""
@@ -91,8 +99,6 @@ class ExperimentConfig:
     lags: list = field(default_factory=list)
     bulk_window: list | None = None
     fit_window: list | None = None
-    stationarity_pairs: list | None = None
-    decorrelation_window: float = 1.0
     # clt / fdd
     n_values: list = field(default_factory=list)
     # shift check
@@ -102,8 +108,6 @@ class ExperimentConfig:
     first_moment_xmax: float = 6.0
     holder_s_values: list = field(default_factory=list)
     gbar_probe: dict = field(default_factory=dict)
-    # oracle suite
-    oracle_n_ladder: list = field(default_factory=lambda: [1e2, 1e3, 1e4])
 
     def grid(self) -> GridSpec:
         dt = self.dt if self.dt is not None else self.dx ** 2 / 2
@@ -126,8 +130,6 @@ class ExperimentConfig:
         except ValueError as e:
             bad.append(f"grid: {e}")
         if self.kind == "oracle_suite":
-            if sorted(self.oracle_n_ladder) != list(self.oracle_n_ladder):
-                bad.append("oracle_n_ladder must be ascending")
             if bad:
                 raise ConfigError(bad)
             return
@@ -138,7 +140,8 @@ class ExperimentConfig:
         if not self.times or sorted(self.times) != list(self.times):
             bad.append("times must be a nonempty ascending list")
         if grid is not None and self.times:
-            bad += _time_violations(grid, "time", self.times)
+            time_bad = _time_violations(grid, "time", self.times)
+            bad += time_bad
             t_max = max(self.times)
             x_max = 0.0
             if self.kind == "covariance":
@@ -159,6 +162,15 @@ class ExperimentConfig:
                 if self.kind == "fdd" and len(self.times) != 2:
                     bad.append("fdd needs exactly two times")
                 x_max = max(self.n_values, default=0.0)
+                if not time_bad:
+                    # the relative engine reaches `half` cells per step;
+                    # clt reads only the last time, fdd both
+                    t0 = self.times[0] if self.kind == "fdd" else self.times[-1]
+                    half = len(heat_step_weights(grid.dx, grid.dt)) // 2
+                    cone = half * grid.dx * grid.step_of(t0)
+                    if x_max > cone + 1e-9:
+                        bad.append(f"max N {x_max:g} lies outside the noise cone "
+                                   f"|x| <= {cone:g} at t={t0:g}")
             elif self.kind == "shift_check":
                 if self.shift_s is None or not self.shift_probes:
                     bad.append("shift_check needs shift_s and shift_probes")
@@ -176,6 +188,7 @@ class ExperimentConfig:
                         grid.index_of(float(probe["x"]))
                     except ValueError as e:
                         bad.append(f"gbar_probe.x: {e}")
+                    x_max = max(x_max, abs(float(probe["x"])))
                     if probe["k"] != 2:
                         bad.append("gbar_probe.k must be 2, the only moment "
                                    "order with a Volterra oracle")
@@ -320,13 +333,11 @@ def fit_decay(cov, lag_window) -> FitDecayResult:
 # ---------------------------------------------------------------------------
 
 def _chunk_map(cfg: ExperimentConfig, grid: GridSpec, worker, ids, *params):
-    """worker((grid kwargs, master seed, chunk, *params)) for each chunk of
-    _CHUNK consecutive ids, results in chunk order; chunks run in worker
-    processes when cfg.workers > 1."""
-    gridkw = dict(dx=grid.dx, half_width=grid.half_width, dt=grid.dt,
-                  boundary=grid.boundary)
+    """worker((grid, master seed, chunk, *params)) for each chunk of _CHUNK
+    consecutive ids, results in chunk order; chunks run in worker processes
+    when cfg.workers > 1."""
     ids = list(ids)
-    args = [(gridkw, cfg.master_seed, ids[i:i + _CHUNK], *params)
+    args = [(grid, cfg.master_seed, ids[i:i + _CHUNK], *params)
             for i in range(0, len(ids), _CHUNK)]
     if cfg.workers <= 1 or len(args) <= 1:
         return [worker(a) for a in args]
@@ -339,26 +350,27 @@ def _chunk_map(cfg: ExperimentConfig, grid: GridSpec, worker, ids, *params):
 
 def _ensemble_worker(args):
     """transform(block[:, window], t, x_window) per checkpoint step for one
-    chunk evolved by the batch engine; the window is the cells with
-    lo <= x <= hi."""
-    gridkw, seed, ids, steps, mode, lo, hi, transform = args
-    grid = GridSpec(**gridkw)
-    pos = grid.positions()
-    sel = np.where((pos >= lo - 1e-9) & (pos <= hi + 1e-9))[0]
+    chunk evolved by the batch engine; window is an index array."""
+    grid, seed, ids, steps, mode, window, transform = args
+    x = grid.positions()[window]
     out = {}
 
     def consume(step, reps, block):
-        out[step] = transform(block[:, sel], step * grid.dt, pos[sel])
+        out[step] = transform(block[:, window], step * grid.dt, x)
 
     _BatchEngine(grid, seed, mode=mode).run(ids, steps, consume)
     return out
 
 
 def _ensemble(cfg, grid, ids, steps, mode, lo, hi, transform):
-    """{step: rows of _ensemble_worker stacked in the order of ids}."""
-    results = _chunk_map(cfg, grid, _ensemble_worker, ids, steps, mode, lo, hi,
+    """(row blocks, window positions): per step of steps, the rows of
+    _ensemble_worker stacked in the order of ids; the positions of the cells
+    with lo <= x <= hi."""
+    window = grid.window(lo, hi)
+    results = _chunk_map(cfg, grid, _ensemble_worker, ids, steps, mode, window,
                          transform)
-    return {k: np.concatenate([out[k] for out in results]) for k in steps}
+    return ([np.concatenate([out[k] for out in results]) for k in steps],
+            grid.positions()[window])
 
 
 def _log_residual(Z, t, x):
@@ -384,8 +396,7 @@ def _center_gbar(Z, t, x):
 
 
 def _shift_worker(args):
-    gridkw, seed, ids, t, s, x, y = args
-    grid = GridSpec(**gridkw)
+    grid, seed, ids, t, s, x, y = args
     return shift_identity_samples(grid, ids, t, s, x, y, master_seed=seed)
 
 
@@ -402,15 +413,13 @@ def _run_covariance(cfg: ExperimentConfig):
     t = cfg.times[-1]
     k = grid.step_of(t)
     lo, hi = cfg._bulk(grid)
-    rows = _ensemble(cfg, grid, range(cfg.replicates), [k], "absolute", lo, hi,
-                     _log_residual)[k]
-
-    pos = grid.positions()
-    sel = (pos >= lo - 1e-9) & (pos <= hi + 1e-9)
-    acc = CovarianceAccumulator(pos[sel])
-    for rid, row in enumerate(rows):
-        acc.add(rid, row, np.isfinite(row))
-    est = acc.finalize(t, cfg.lags, cfg.decorrelation_window)
+    (rows,), wpos = _ensemble(cfg, grid, range(cfg.replicates), [k],
+                              "absolute", lo, hi, _log_residual)
+    ok = np.isfinite(rows)
+    acc = CovarianceAccumulator(wpos)
+    for rid, (row, valid) in enumerate(zip(rows, ok)):
+        acc.add(rid, row, valid)
+    est = acc.finalize(t, cfg.lags)
 
     tables = {"covariance": [
         ("height_cov", t, lag, c, s, n)
@@ -446,17 +455,11 @@ def _run_covariance(cfg: ExperimentConfig):
     # with no simulation) is removed first: at |x| >> sqrt(t) it exceeds the
     # KS resolution, while the law of the fluctuations around it is the
     # translation-invariant object under test.
-    pairs = cfg.stationarity_pairs
-    if pairs is None:
-        qs = np.linspace(lo, hi, 5)
-        pairs = [[qs[0], qs[2]], [qs[2], qs[4]], [qs[1], qs[3]], [qs[0], qs[4]],
-                 [qs[1], qs[2]], [qs[2], qs[3]], [qs[0], qs[1]], [qs[3], qs[4]],
-                 [qs[0], qs[3]], [qs[1], qs[4]]]
-    ids_all, vals, ok = acc.matrix()
-    wpos = pos[sel]
-    lattice_profile = (discrete_kernel_log(grid, k)[sel]
+    qs = np.linspace(lo, hi, 5)
+    pairs = [(qs[i], qs[j]) for i, j in _STATIONARITY_PAIRS]
+    lattice_profile = (discrete_kernel_log(grid, k)[grid.window(lo, hi)]
                        - math.log(grid.dx) - log_heat_kernel(t, wpos))
-    vals = vals - lattice_profile[None, :]
+    vals = rows - lattice_profile[None, :]
     ks_rows = []
     min_p = 1.0
     for (x1, x2) in pairs:
@@ -479,49 +482,42 @@ def _run_covariance(cfg: ExperimentConfig):
     return tables, verdicts, extras
 
 
-def _clt_samples(cfg: ExperimentConfig, grid, times, n_values, rep_range):
-    """Per-replicate X_N samples for each (t, N); relative-mode engine."""
+def _clt_residuals(cfg: ExperimentConfig, grid, times, n_max, ids):
+    """(residual rows on [0, n_max] per time, in the order of ids; window
+    positions); relative-mode engine."""
     steps = [grid.step_of(t) for t in times]
-    n_max = max(n_values)
-    ids = list(rep_range)
-    rows_at = _ensemble(cfg, grid, ids, steps, "relative", 0.0, n_max,
-                        _relative_residual)
-    wpos = grid.positions()
-    sel = (wpos >= -1e-9) & (wpos <= n_max + 1e-9)
-    window = wpos[sel]
-    samples = {(t, N): {} for t in times for N in n_values}
-    means = {}
-    for t, k in zip(times, steps):
-        rows = rows_at[k]
+    rows_at, wpos = _ensemble(cfg, grid, ids, steps, "relative", 0.0, n_max,
+                              _relative_residual)
+    for t, rows in zip(times, rows_at):
         if not np.isfinite(rows).all():
             raise RuntimeError(
                 f"residual window [0, {n_max:g}] not fully inside the "
                 f"noise cone at t={t:g}; enlarge t or shrink N")
-        means[t] = list(rows)
-        for rid, row in zip(ids, rows):
-            for N in n_values:
-                m = window <= N + 1e-9
-                val = np.trapezoid(row[m], dx=grid.dx)
-                samples[(t, N)][rid] = val / math.sqrt(N * math.log(N))
-    return samples, means, window
+    return rows_at, wpos
+
+
+def _spatial_averages(rows, wpos, dx, N):
+    """X_N = (N log N)^(-1/2) int_0^N r dx of each residual row."""
+    m = wpos <= N + 1e-9
+    return (np.array([np.trapezoid(row[m], dx=dx) for row in rows])
+            / math.sqrt(N * math.log(N)))
 
 
 def _run_clt(cfg: ExperimentConfig):
     grid = cfg.grid()
     t = cfg.times[-1]
     n_values = [float(N) for N in cfg.n_values]
+    n_max = max(n_values)
     # calibration pass: grand mean of the residual over the bulk
-    cal_range = range(cfg.replicates, cfg.replicates + cfg.calibration_replicates)
-    _, cal_rows, _ = _clt_samples(cfg, grid, [t], n_values, cal_range)
-    m_hat = float(np.mean([r.mean() for r in cal_rows[t]]))
-    est_samples, _, _ = _clt_samples(cfg, grid, [t], n_values,
-                                     range(cfg.replicates))
+    cal_ids = range(cfg.replicates, cfg.replicates + cfg.calibration_replicates)
+    (cal_rows,), _ = _clt_residuals(cfg, grid, [t], n_max, cal_ids)
+    m_hat = float(np.mean([r.mean() for r in cal_rows]))
+    (rows,), wpos = _clt_residuals(cfg, grid, [t], n_max, range(cfg.replicates))
     tables = {"clt": []}
     verdicts = []
     ratios = {}
     for N in n_values:
-        d = est_samples[(t, N)]
-        xs = np.array([d[r] for r in sorted(d)])
+        xs = _spatial_averages(rows, wpos, grid.dx, N)
         # the scalar centering shifts every sample equally; variance unchanged
         xs = xs - m_hat * N / math.sqrt(N * math.log(N))
         var = float(xs.var(ddof=1))
@@ -559,12 +555,9 @@ def _run_fdd(cfg: ExperimentConfig):
     grid = cfg.grid()
     times = [float(t) for t in cfg.times]
     N = float(cfg.n_values[0])
-    samples, _, _ = _clt_samples(cfg, grid, times, [N], range(cfg.replicates))
+    rows, wpos = _clt_residuals(cfg, grid, times, N, range(cfg.replicates))
+    a, b = (_spatial_averages(r, wpos, grid.dx, N) for r in rows)
     t1, t2 = times
-    d1, d2 = samples[(t1, N)], samples[(t2, N)]
-    reps = sorted(d1)
-    a = np.array([d1[r] for r in reps])
-    b = np.array([d2[r] for r in reps])
     cov, se = fdd_covariance(a, b)
     target = 2.0 * min(t1, t2)
     ratio = cov / target
@@ -591,9 +584,8 @@ def _run_shift_check(cfg: ExperimentConfig):
         rhs = np.concatenate([r[1] for r in results])
         dropped = sum(r[2] for r in results)
         m = lhs.size
-        lhs_m, rhs_m = float(lhs.mean()), float(rhs.mean())
-        lhs_se = float(lhs.std(ddof=1) / math.sqrt(m))
-        rhs_se = float(rhs.std(ddof=1) / math.sqrt(m))
+        lhs_m, lhs_se = (float(v) for v in mean_se(lhs))
+        rhs_m, rhs_se = (float(v) for v in mean_se(rhs))
         comb = math.hypot(lhs_se, rhs_se)
         tol = 3.0 * comb + 0.05 * abs(lhs_m)
         key = f"x={x:g},y={y:g}"
@@ -630,19 +622,18 @@ def _run_oracle_suite(cfg: ExperimentConfig):
              "note": "integral approaches its limit at O(1/log N); "
                      "see ladder and extrapolation rows"}))
     # twotime ladder + 1/log N extrapolation (reported, not a criterion)
-    lad = [lemma_twotime(1.0, 2.0, N).value for N in cfg.oracle_n_ladder]
-    for N, v in zip(cfg.oracle_n_ladder, lad):
+    lad = [lemma_twotime(1.0, 2.0, N).value for N in _ORACLE_N_LADDER]
+    for N, v in zip(_ORACLE_N_LADDER, lad):
         tables["oracle"].append(("lemma_twotime_ladder_1_2", 1.0, N, v, 0.0, 1))
-    if len(lad) >= 2:
-        xs = 1.0 / np.log(np.asarray(cfg.oracle_n_ladder, dtype=float))
-        slope, icept = np.polyfit(xs, lad, 1)
-        tables["oracle"].append(("lemma_twotime_extrapolated_1_2", 1.0,
-                                 math.inf, float(icept), 0.0, len(lad)))
+    xs = 1.0 / np.log(np.asarray(_ORACLE_N_LADDER, dtype=float))
+    slope, icept = np.polyfit(xs, lad, 1)
+    tables["oracle"].append(("lemma_twotime_extrapolated_1_2", 1.0,
+                             math.inf, float(icept), 0.0, len(lad)))
     for name, fn in (("lemma_s0", lemma_s0), ("lemma_2", lemma_2),
                      ("lemma_y", lemma_y)):
         t1, t2 = (1.0, 1.0) if name != "lemma_y" else (1.0, 2.0)
         vals = []
-        for N in cfg.oracle_n_ladder:
+        for N in _ORACLE_N_LADDER:
             res = fn(t1, t2, N)
             vals.append(res.value)
             tables["oracle"].append((name, t1, N, res.value,
@@ -674,15 +665,12 @@ def _run_diagnostics(cfg: ExperimentConfig):
     xmax = cfg.first_moment_xmax
     k = grid.step_of(t)
     reps = range(cfg.replicates)
-    rows = _ensemble(cfg, grid, reps, [k], "absolute", -xmax, xmax, _gbar)[k]
-    mean = rows.mean(axis=0)
-    se = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
+    (rows,), wsel = _ensemble(cfg, grid, reps, [k], "absolute", -xmax, xmax, _gbar)
+    mean, se = mean_se(rows)
     dev = np.abs(mean - 1.0)
     tol = 3.0 * se + 0.02
     ok = bool((dev <= tol).all())
     worst = int(np.argmax(dev - tol))
-    pos = grid.positions()
-    wsel = pos[(pos >= -xmax - 1e-9) & (pos <= xmax + 1e-9)]
     tables["first_moment"] = [
         ("mean_gbar", t, x, m, s, rows.shape[0])
         for x, m, s in zip(wsel, mean, se)]
@@ -696,12 +684,11 @@ def _run_diagnostics(cfg: ExperimentConfig):
     if cfg.holder_s_values:
         svals = [float(s) for s in cfg.holder_s_values]
         steps = [grid.step_of(s) for s in svals]
-        x0 = float(pos[grid.origin_index])
-        cols = _ensemble(cfg, grid, reps, steps, "absolute", x0, x0, _center_gbar)
+        x0 = float(grid.positions()[grid.origin_index])
+        cols, _ = _ensemble(cfg, grid, reps, steps, "absolute", x0, x0, _center_gbar)
         norms = []
         tables["holder"] = []
-        for s, kstep in zip(svals, steps):
-            g = cols[kstep]
+        for s, g in zip(svals, cols):
             nrm = math.sqrt(float(((g - 1.0) ** 2).mean()))
             norms.append(nrm)
             tables["holder"].append(("holder_l2", s, s, nrm, 0.0, g.size))
@@ -717,9 +704,9 @@ def _run_diagnostics(cfg: ExperimentConfig):
         pt, px = float(probe["t"]), float(probe["x"])
         korder = int(probe["k"])
         kstep = grid.step_of(pt)
-        g = _ensemble(cfg, grid, reps, [kstep], "absolute", px, px, _gbar)[kstep]
+        (g,), _ = _ensemble(cfg, grid, reps, [kstep], "absolute", px, px, _gbar)
         g = g[:, 0] ** korder
-        mc, mc_se = float(g.mean()), float(g.std(ddof=1) / math.sqrt(g.size))
+        mc, mc_se = (float(v) for v in mean_se(g))
         oracle = second_moment_volterra(pt, time_levels=int(probe["volterra_levels"]))
         ref = oracle.second_moment_ratio(px)
         tables["gbar_moment"] = [

@@ -26,6 +26,7 @@ from scipy.ndimage import convolve1d
 from .kernels import heat_kernel
 from .noise import NoiseStream, _FastNormals
 from .sim import Field, GridSpec, _conv_mode, heat_step_weights, noise_factors
+from .stats import mean_se
 
 __all__ = [
     "GreenField",
@@ -60,6 +61,15 @@ class MomentEstimate:
     se: float
     n: int
     reliable: bool
+
+
+def _moment_estimate(vals) -> MomentEstimate:
+    """Mean and SE of per-replicate values (SE NaN below two values); flagged
+    unreliable when the mean is zero or the SE is not <= |mean|."""
+    m = int(vals.size)
+    mean, se = mean_se(vals) if m > 1 else (vals.mean(), float("nan"))
+    return MomentEstimate(value=float(mean), se=float(se), n=m,
+                          reliable=bool(mean != 0.0 and se <= abs(mean)))
 
 
 @dataclass
@@ -172,14 +182,7 @@ def estimate_gbar_moment(ensemble, x: float, k: int) -> MomentEstimate:
     """
     if k < 1:
         raise ValueError("moment order k must be a positive integer")
-    vals = np.array([gbar_value(gf, x) ** k for gf in ensemble])
-    m = int(vals.size)
-    mean = float(vals.mean())
-    if m < 2:
-        return MomentEstimate(value=mean, se=float("nan"), n=m, reliable=False)
-    se = float(vals.std(ddof=1) / np.sqrt(m))
-    reliable = se <= abs(mean) if mean != 0.0 else False
-    return MomentEstimate(value=mean, se=se, n=m, reliable=reliable)
+    return _moment_estimate(np.array([gbar_value(gf, x) ** k for gf in ensemble]))
 
 
 def _shift_cells(arr, cells):
@@ -265,15 +268,11 @@ def verify_shift_identity(grid: GridSpec, m_replicates: int, t: float, s: float,
     """
     lhs_vals, rhs_vals, dropped = shift_identity_samples(
         grid, range(m_replicates), t, s, x, y, master_seed)
-    m = lhs_vals.size
-    return ShiftIdentityCheck(
-        lhs=float(lhs_vals.mean()),
-        lhs_se=float(lhs_vals.std(ddof=1) / np.sqrt(m)),
-        rhs=float(rhs_vals.mean()),
-        rhs_se=float(rhs_vals.std(ddof=1) / np.sqrt(m)),
-        n_used=int(m),
-        n_dropped=dropped,
-    )
+    lhs, lhs_se = mean_se(lhs_vals)
+    rhs, rhs_se = mean_se(rhs_vals)
+    return ShiftIdentityCheck(lhs=float(lhs), lhs_se=float(lhs_se), rhs=float(rhs),
+                              rhs_se=float(rhs_se), n_used=int(lhs_vals.size),
+                              n_dropped=dropped)
 
 
 def estimate_g(grid: GridSpec, m_replicates: int, t: float, x: float, y: float,
@@ -302,8 +301,4 @@ def estimate_g(grid: GridSpec, m_replicates: int, t: float, x: float, y: float,
             dropped += 1
             continue
         vals.append((num / p_num) / (den / p_den))
-    vals = np.array(vals)
-    m = vals.size
-    se = float(vals.std(ddof=1) / np.sqrt(m)) if m > 1 else float("nan")
-    return MomentEstimate(value=float(vals.mean()), se=se, n=int(m),
-                          reliable=bool(m > 1 and se <= abs(vals.mean())))
+    return _moment_estimate(np.array(vals))

@@ -100,6 +100,13 @@ class GridSpec:
             raise ValueError(f"t={t} is not a multiple of dt={self.dt}")
         return j
 
+    def window(self, lo: float, hi: float) -> np.ndarray:
+        """Indices of the cells with lo <= x <= hi (1e-9 slack).  An index
+        array, not a slice: the layout of block[:, window] sets the summation
+        order of later reductions."""
+        pos = self.positions()
+        return np.flatnonzero((pos >= lo - 1e-9) & (pos <= hi + 1e-9))
+
     def covers(self, t_max: float, x_max: float) -> bool:
         """Truncation rule: L >= x_max + 8 sqrt(t_max)."""
         return self.half_width >= x_max + 8.0 * np.sqrt(t_max) - 1e-9

@@ -5,7 +5,9 @@ within each replicate (valid because the residual law is translation
 invariant in the bulk) and over replicates.  Standard errors come from the
 per-replicate block means only: translates inside one replicate carry the
 very long-range correlation under study, so per-translate errors would be
-badly anticonservative.
+badly anticonservative.  n_effective counts replicates times the number
+of decorrelation lengths in the translate span, with the decorrelation
+length fixed at 1.0 (_DECORRELATION_LENGTH).
 
 Accumulators are mergeable by construction: each replicate contributes an
 immutable record keyed by replicate_id, merging is a disjoint union, and
@@ -28,10 +30,19 @@ __all__ = [
     "TestReport",
     "CovarianceAccumulator",
     "estimate_height_covariance",
+    "mean_se",
     "spatial_average",
     "ks_normality",
     "fdd_covariance",
 ]
+
+_DECORRELATION_LENGTH = 1.0
+
+
+def mean_se(values):
+    """Mean and standard error std(ddof=1)/sqrt(m) over the m rows (axis 0)."""
+    v = np.asarray(values, dtype=float)
+    return v.mean(axis=0), v.std(axis=0, ddof=1) / math.sqrt(v.shape[0])
 
 
 @dataclass
@@ -114,7 +125,7 @@ class CovarianceAccumulator:
         ok = np.stack([self._rows[i][1] for i in ids])
         return ids, vals, ok
 
-    def finalize(self, t: float, lags, decorrelation_window: float = 1.0) -> CovarianceEstimate:
+    def finalize(self, t: float, lags) -> CovarianceEstimate:
         ids, vals, ok = self.matrix()
         m = len(ids)
         if m < 2:
@@ -147,14 +158,12 @@ class CovarianceAccumulator:
             if np.any(n_tr == 0):
                 raise ValueError("a replicate has no valid translate at some lag")
             per_rep = (a * b * pair_ok).sum(axis=1) / n_tr
-            cov[i] = per_rep.mean() * bessel
-            se[i] = per_rep.std(ddof=1) / math.sqrt(m) * bessel
-            neff[i] = m * max(1.0, (span - lag) / decorrelation_window)
+            cov[i], se[i] = (v * bessel for v in mean_se(per_rep))
+            neff[i] = m * max(1.0, (span - lag) / _DECORRELATION_LENGTH)
         return CovarianceEstimate(t=t, lags=lags, cov=cov, se=se, n_effective=neff)
 
 
-def estimate_height_covariance(residuals, t: float, lags, bulk_window,
-                               decorrelation_window: float = 1.0) -> CovarianceEstimate:
+def estimate_height_covariance(residuals, t: float, lags, bulk_window) -> CovarianceEstimate:
     """Translate-averaged spatial covariance of the height residual.
 
     residuals: sequence of HeightResidual replicates (or (values, valid)
@@ -162,18 +171,16 @@ def estimate_height_covariance(residuals, t: float, lags, bulk_window,
     Covariance of h equals covariance of r exactly: the two differ by the
     deterministic profile log p_t, which per-cell centering removes.
     """
-    lo, hi = bulk_window
-    first = residuals[0]
-    pos = first.grid.positions()
-    sel = (pos >= lo - 1e-9) & (pos <= hi + 1e-9)
-    if not sel.any():
+    grid = residuals[0].grid
+    sel = grid.window(*bulk_window)
+    if not sel.size:
         raise ValueError("empty bulk window")
-    acc = CovarianceAccumulator(pos[sel])
+    acc = CovarianceAccumulator(grid.positions()[sel])
     for i, r in enumerate(residuals):
         if abs(r.time - t) > 1e-9:
             raise ValueError("residual ensemble mixes times")
         acc.add(i, r.values[sel], r.valid[sel])
-    return acc.finalize(t, lags, decorrelation_window)
+    return acc.finalize(t, lags)
 
 
 def spatial_average(residual, mean_residual, N: float) -> SpatialAverageSample:

@@ -58,6 +58,7 @@ def _tiny_diag_cfg(**over):
     (dict(gbar_probe={"x": 0.05}), "gbar_probe.x"),               # off dx lattice
     (dict(gbar_probe={"x": 11.0}), "gbar_probe.x"),               # outside the grid
     (dict(gbar_probe={"k": 3}), "gbar_probe.k"),                  # no oracle for k != 2
+    (dict(gbar_probe={"x": 9.5}), "8 sqrt"),                      # truncation at the probe
 ])
 def test_validation_rejects_diagnostics_probes(over, needle):
     _tiny_diag_cfg().validate()
@@ -73,6 +74,38 @@ def test_validation_fdd_needs_two_times():
         cfg.validate()
     msgs = "\n".join(err.value.violations)
     assert "exactly two times" in msgs and "replicates" in msgs
+
+
+def test_validation_rejects_n_outside_noise_cone():
+    # 23 taps reach 11 cells per step: |x| <= 2.2 after the 2 steps to t = 0.01
+    cfg = ExperimentConfig(kind="clt", dx=0.1, half_width=20.0, times=[0.01],
+                           n_values=[5.0, 10.0], replicates=1)
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    msgs = "\n".join(err.value.violations)
+    assert "noise cone" in msgs and "replicates" in msgs
+    ExperimentConfig(kind="clt", dx=0.1, half_width=20.0, times=[0.1],
+                     n_values=[5.0, 10.0]).validate()
+    # fdd integrates at both times, so the earlier one must reach N too
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(kind="fdd", dx=0.1, half_width=20.0, times=[0.01, 0.1],
+                         n_values=[5.0]).validate()
+    assert any("noise cone" in v for v in err.value.violations)
+
+
+def test_covariance_table_matches_estimator_on_reference_fields():
+    from shelab.noise import NoiseStream
+    from shelab.sim import evolve, height_residual
+    from shelab.stats import estimate_height_covariance
+
+    cfg = _tiny_cov_cfg()
+    grid, t = cfg.grid(), cfg.times[-1]
+    residuals = [height_residual(evolve(grid, NoiseStream(cfg.master_seed, r), [t])[0])
+                 for r in range(cfg.replicates)]
+    est = estimate_height_covariance(residuals, t, cfg.lags, cfg.bulk_window)
+    table = run(cfg).tables["covariance"]
+    assert table == [["height_cov", t, lag, c, s, n]
+                     for lag, c, s, n in zip(est.lags, est.cov, est.se, est.n_effective)]
 
 
 def test_unknown_config_field_rejected():
