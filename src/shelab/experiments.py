@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 import warnings
@@ -25,12 +26,14 @@ from scipy import stats as sps
 
 from . import __version__ as _VERSION
 from .kernels import log_heat_kernel
-from .green import shift_identity_samples
+from .green import ShiftIdentityCheck, moment_estimate, shift_identity_samples
 from .oracles import (lemma_2, lemma_s0, lemma_twotime, lemma_y,
                       limiting_constant, reduced_cov_integral,
                       second_moment_volterra)
-from .sim import GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights
-from .stats import CovarianceAccumulator, ks_normality, fdd_covariance, mean_se
+from .sim import (GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights,
+                  log_residual)
+from .stats import (CovarianceAccumulator, ks_normality, fdd_covariance, mean_se,
+                    spatial_averages)
 
 __all__ = [
     "ExperimentConfig",
@@ -120,9 +123,13 @@ class ExperimentConfig:
         bad = []
         if self.kind not in KINDS:
             bad.append(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not 0 <= self.master_seed < 2 ** 64:
+        if not _is_integer(self.master_seed):
+            bad.append("master_seed must be an integer")
+        elif not 0 <= self.master_seed < 2 ** 64:
             bad.append("master_seed must fit in 64 bits")
-        if self.workers < 1:
+        if not _is_integer(self.workers):
+            bad.append("workers must be an integer")
+        elif self.workers < 1:
             bad.append("workers must be >= 1")
         grid = None
         try:
@@ -133,9 +140,13 @@ class ExperimentConfig:
             if bad:
                 raise ConfigError(bad)
             return
-        if self.replicates < 2:
+        if not _is_integer(self.replicates):
+            bad.append("replicates must be an integer")
+        elif self.replicates < 2:
             bad.append("replicates must be >= 2")
-        if self.calibration_replicates < 1:
+        if not _is_integer(self.calibration_replicates):
+            bad.append("calibration_replicates must be an integer")
+        elif self.calibration_replicates < 1:
             bad.append("calibration_replicates must be >= 1")
         if not self.times or sorted(self.times) != list(self.times):
             bad.append("times must be a nonempty ascending list")
@@ -154,11 +165,19 @@ class ExperimentConfig:
                         bad.append(f"lag {lag} not on the dx lattice")
                     if lag > hi - lo:
                         bad.append(f"lag {lag} exceeds the bulk window span")
+                if self.fit_window:
+                    f_lo, f_hi = self.fit_window
+                    n_fit = sum(0 < lag and f_lo - 1e-9 <= lag <= f_hi + 1e-9
+                                for lag in self.lags)
+                    if n_fit < 3:
+                        bad.append(f"fit_window {self.fit_window} holds {n_fit} "
+                                   "positive lags; the decay fit needs 3")
             elif self.kind in ("clt", "fdd"):
                 if not self.n_values:
                     bad.append(f"{self.kind} needs a nonempty n_values list")
                 if any(N < 3 for N in self.n_values):
                     bad.append("every N must be >= 3 (log N > 1)")
+                bad += _lattice_violations(grid, "n_values", self.n_values)
                 if self.kind == "fdd" and len(self.times) != 2:
                     bad.append("fdd needs exactly two times")
                 x_max = max(self.n_values, default=0.0)
@@ -176,22 +195,34 @@ class ExperimentConfig:
                     bad.append("shift_check needs shift_s and shift_probes")
                 elif not (0 < self.shift_s < t_max):
                     bad.append("need 0 < shift_s < t")
+                else:
+                    bad += _time_violations(grid, "shift_s", [self.shift_s])
+                bad += _lattice_violations(grid, "shift_probes",
+                                           [v for probe in self.shift_probes for v in probe])
                 x_max = max((max(abs(x), abs(y)) for x, y in self.shift_probes),
                             default=0.0)
             elif self.kind == "diagnostics":
                 x_max = self.first_moment_xmax
-                bad += _time_violations(grid, "holder_s_values", self.holder_s_values)
+                holder_bad = _time_violations(grid, "holder_s_values",
+                                              self.holder_s_values)
+                bad += holder_bad
+                if (self.holder_s_values and not holder_bad
+                        and len({grid.step_of(s) for s in self.holder_s_values}) < 2):
+                    bad.append("holder_s_values needs 2 distinct times for the "
+                               "exponent fit")
+                t_max = max([t_max, *self.holder_s_values])
                 if self.gbar_probe:
                     probe = {**_GBAR_PROBE_DEFAULTS, **self.gbar_probe}
                     bad += _time_violations(grid, "gbar_probe.t", [probe["t"]])
-                    try:
-                        grid.index_of(float(probe["x"]))
-                    except ValueError as e:
-                        bad.append(f"gbar_probe.x: {e}")
+                    bad += _lattice_violations(grid, "gbar_probe.x", [probe["x"]])
+                    t_max = max(t_max, float(probe["t"]))
                     x_max = max(x_max, abs(float(probe["x"])))
                     if probe["k"] != 2:
                         bad.append("gbar_probe.k must be 2, the only moment "
                                    "order with a Volterra oracle")
+                    if probe["t"] > 1.0 or probe["volterra_levels"] < 16:
+                        bad.append("gbar_probe needs t <= 1 and volterra_levels "
+                                   ">= 16, the Volterra oracle's domain")
             if not grid.covers(t_max, x_max):
                 bad.append(
                     f"half_width {grid.half_width} < x_max + 8 sqrt(t_max) "
@@ -223,6 +254,21 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _lattice_violations(grid, name, xs):
+    """One violation per position off the dx lattice or outside the grid."""
+    bad = []
+    for x in xs:
+        try:
+            grid.index_of(float(x))
+        except ValueError as e:
+            bad.append(f"{name}: {e}")
+    return bad
 
 
 def _time_violations(grid, name, times):
@@ -373,12 +419,6 @@ def _ensemble(cfg, grid, ids, steps, mode, lo, hi, transform):
             grid.positions()[window])
 
 
-def _log_residual(Z, t, x):
-    """r = log Z - log p_t from absolute-mode Z; -inf where Z underflowed."""
-    with np.errstate(divide="ignore"):
-        return np.log(Z) - log_heat_kernel(t, x)
-
-
 def _relative_residual(logZ, t, x):
     """r = log Z - log p_t from relative-mode log Z, finite on the noise cone."""
     return logZ - log_heat_kernel(t, x)
@@ -414,7 +454,7 @@ def _run_covariance(cfg: ExperimentConfig):
     k = grid.step_of(t)
     lo, hi = cfg._bulk(grid)
     (rows,), wpos = _ensemble(cfg, grid, range(cfg.replicates), [k],
-                              "absolute", lo, hi, _log_residual)
+                              "absolute", lo, hi, log_residual)
     ok = np.isfinite(rows)
     acc = CovarianceAccumulator(wpos)
     for rid, (row, valid) in enumerate(zip(rows, ok)):
@@ -496,13 +536,6 @@ def _clt_residuals(cfg: ExperimentConfig, grid, times, n_max, ids):
     return rows_at, wpos
 
 
-def _spatial_averages(rows, wpos, dx, N):
-    """X_N = (N log N)^(-1/2) int_0^N r dx of each residual row."""
-    m = wpos <= N + 1e-9
-    return (np.array([np.trapezoid(row[m], dx=dx) for row in rows])
-            / math.sqrt(N * math.log(N)))
-
-
 def _run_clt(cfg: ExperimentConfig):
     grid = cfg.grid()
     t = cfg.times[-1]
@@ -517,7 +550,7 @@ def _run_clt(cfg: ExperimentConfig):
     verdicts = []
     ratios = {}
     for N in n_values:
-        xs = _spatial_averages(rows, wpos, grid.dx, N)
+        xs = spatial_averages(rows, wpos, grid.dx, N)
         # the scalar centering shifts every sample equally; variance unchanged
         xs = xs - m_hat * N / math.sqrt(N * math.log(N))
         var = float(xs.var(ddof=1))
@@ -556,7 +589,7 @@ def _run_fdd(cfg: ExperimentConfig):
     times = [float(t) for t in cfg.times]
     N = float(cfg.n_values[0])
     rows, wpos = _clt_residuals(cfg, grid, times, N, range(cfg.replicates))
-    a, b = (_spatial_averages(r, wpos, grid.dx, N) for r in rows)
+    a, b = (spatial_averages(r, wpos, grid.dx, N) for r in rows)
     t1, t2 = times
     cov, se = fdd_covariance(a, b)
     target = 2.0 * min(t1, t2)
@@ -580,24 +613,21 @@ def _run_shift_check(cfg: ExperimentConfig):
     for (x, y) in cfg.shift_probes:
         results = _chunk_map(cfg, grid, _shift_worker, range(cfg.replicates),
                              t, s, float(x), float(y))
-        lhs = np.concatenate([r[0] for r in results])
-        rhs = np.concatenate([r[1] for r in results])
-        dropped = sum(r[2] for r in results)
-        m = lhs.size
-        lhs_m, lhs_se = (float(v) for v in mean_se(lhs))
-        rhs_m, rhs_se = (float(v) for v in mean_se(rhs))
-        comb = math.hypot(lhs_se, rhs_se)
-        tol = 3.0 * comb + 0.05 * abs(lhs_m)
+        chk = ShiftIdentityCheck.from_samples(
+            np.concatenate([r[0] for r in results]),
+            np.concatenate([r[1] for r in results]),
+            sum(r[2] for r in results))
+        tol = 3.0 * chk.combined_se + 0.05 * abs(chk.lhs)
         key = f"x={x:g},y={y:g}"
-        tables["shift"].append((f"shift_lhs_{key}", t, s, lhs_m, lhs_se, m))
-        tables["shift"].append((f"shift_rhs_{key}", t, s, rhs_m, rhs_se, m))
+        tables["shift"].append((f"shift_lhs_{key}", t, s, chk.lhs, chk.lhs_se, chk.n_used))
+        tables["shift"].append((f"shift_rhs_{key}", t, s, chk.rhs, chk.rhs_se, chk.n_used))
         verdicts.append(_verdict(
             f"shift identity at ({key}): |lhs-rhs| <= 3 SE + 5%",
-            abs(lhs_m - rhs_m) <= tol,
-            {"lhs": lhs_m, "rhs": rhs_m, "diff": lhs_m - rhs_m,
-             "tolerance": tol, "dropped": dropped}))
-        details[key] = {"lhs": lhs_m, "lhs_se": lhs_se, "rhs": rhs_m,
-                        "rhs_se": rhs_se, "dropped": dropped}
+            abs(chk.lhs - chk.rhs) <= tol,
+            {"lhs": chk.lhs, "rhs": chk.rhs, "diff": chk.lhs - chk.rhs,
+             "tolerance": tol, "dropped": chk.n_dropped}))
+        details[key] = {"lhs": chk.lhs, "lhs_se": chk.lhs_se, "rhs": chk.rhs,
+                        "rhs_se": chk.rhs_se, "dropped": chk.n_dropped}
     return tables, verdicts, details
 
 
@@ -705,12 +735,12 @@ def _run_diagnostics(cfg: ExperimentConfig):
         korder = int(probe["k"])
         kstep = grid.step_of(pt)
         (g,), _ = _ensemble(cfg, grid, reps, [kstep], "absolute", px, px, _gbar)
-        g = g[:, 0] ** korder
-        mc, mc_se = (float(v) for v in mean_se(g))
+        est = moment_estimate(g[:, 0] ** korder)
+        mc, mc_se = est.value, est.se
         oracle = second_moment_volterra(pt, time_levels=int(probe["volterra_levels"]))
         ref = oracle.second_moment_ratio(px)
         tables["gbar_moment"] = [
-            ("gbar_moment_mc", pt, float(korder), mc, mc_se, g.size),
+            ("gbar_moment_mc", pt, float(korder), mc, mc_se, est.n),
             ("gbar_moment_volterra", pt, float(korder), ref, oracle.self_convergence, 1),
         ]
         tol = 3.0 * mc_se + 0.05 * abs(ref)

@@ -36,6 +36,7 @@ __all__ = [
     "green_row_adjoint",
     "gbar_value",
     "estimate_gbar_moment",
+    "moment_estimate",
     "shift_identity_samples",
     "verify_shift_identity",
     "estimate_g",
@@ -63,9 +64,10 @@ class MomentEstimate:
     reliable: bool
 
 
-def _moment_estimate(vals) -> MomentEstimate:
+def moment_estimate(vals) -> MomentEstimate:
     """Mean and SE of per-replicate values (SE NaN below two values); flagged
     unreliable when the mean is zero or the SE is not <= |mean|."""
+    vals = np.asarray(vals, dtype=float)
     m = int(vals.size)
     mean, se = mean_se(vals) if m > 1 else (vals.mean(), float("nan"))
     return MomentEstimate(value=float(mean), se=float(se), n=m,
@@ -80,6 +82,15 @@ class ShiftIdentityCheck:
     rhs_se: float
     n_used: int
     n_dropped: int
+
+    @classmethod
+    def from_samples(cls, lhs, rhs, dropped: int) -> "ShiftIdentityCheck":
+        """Means and SEs of the per-replicate (lhs, rhs) samples of
+        shift_identity_samples; `dropped` counts the replicates left out."""
+        lhs_m, lhs_se = mean_se(lhs)
+        rhs_m, rhs_se = mean_se(rhs)
+        return cls(lhs=float(lhs_m), lhs_se=float(lhs_se), rhs=float(rhs_m),
+                   rhs_se=float(rhs_se), n_used=len(lhs), n_dropped=int(dropped))
 
     @property
     def combined_se(self) -> float:
@@ -182,19 +193,7 @@ def estimate_gbar_moment(ensemble, x: float, k: int) -> MomentEstimate:
     """
     if k < 1:
         raise ValueError("moment order k must be a positive integer")
-    return _moment_estimate(np.array([gbar_value(gf, x) ** k for gf in ensemble]))
-
-
-def _shift_cells(arr, cells):
-    """Translate so that out[i] = arr[i + cells], zero-filled."""
-    out = np.zeros_like(arr)
-    if cells == 0:
-        out[:] = arr
-    elif cells > 0:
-        out[:-cells] = arr[cells:]
-    else:
-        out[-cells:] = arr[:cells]
-    return out
+    return moment_estimate([gbar_value(gf, x) ** k for gf in ensemble])
 
 
 def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
@@ -208,6 +207,8 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     One merged forward pass carries both sources (0,0) and (s,y) and
     checkpoints the (0,0) field at time s; one adjoint pass supplies the
     whole G(t,0;s,.) family.  Identical noise coordinates throughout.
+    Raises ValueError when no z-cell carries Gaussian weight or a kept
+    z + y cell lies outside the grid.
     """
     kt, ks = grid.step_of(t), grid.step_of(s)
     if not 0 < ks < kt:
@@ -216,10 +217,12 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     ix = grid.index_of(x)
     iy = grid.index_of(y)
     i0 = grid.origin_index
-    shift = iy - i0
     z = grid.positions()
     w_gauss = heat_kernel(s * (t - s) / t, z + y - (s / t) * x)
     keep = w_gauss > w_gauss.max() * _WEIGHT_CUT
+    zy = np.flatnonzero(keep) + (iy - i0)     # cells of z + y
+    if not zy.size or zy[0] < 0 or zy[-1] >= n:
+        raise ValueError("the Gaussian z-window is empty or z + y leaves the grid")
 
     p_ts_xy = heat_kernel(t - s, x - y)
     p_t_x = heat_kernel(t, x)
@@ -237,14 +240,13 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
         factors = noise_factors(
             grid, np.vstack([rng.normals_block([rep], k, n) for k in range(kt)]))
         F = _forward(grid, np.zeros((2, n)), starts, factors.__getitem__, 0, ks)
-        z_field = F[0].copy()
+        zs = F[0, zy]                                    # Z_s(z + y)
         F = _forward(grid, F, starts, factors.__getitem__, ks, kt)
         den = F[0, ix]
         num = F[1, ix]
         v = np.zeros(n)
         v[i0] = 1.0
         row = _adjoint(grid, v, factors.__getitem__, ks, kt) / grid.dx
-        zs = _shift_cells(z_field, shift)[keep]          # Z_s(z + y)
         gb_t = row[keep] / p_ts_z
         gb_s = zs / p_s_zy
         denom = float((w_gauss[keep] * gb_t * gb_s).sum() * grid.dx)
@@ -266,21 +268,16 @@ def verify_shift_identity(grid: GridSpec, m_replicates: int, t: float, s: float,
     with the z-integral realized as a dx-weighted grid sum; the Gbar(t,0;s,z)
     family comes from one adjoint pass per replicate.
     """
-    lhs_vals, rhs_vals, dropped = shift_identity_samples(
-        grid, range(m_replicates), t, s, x, y, master_seed)
-    lhs, lhs_se = mean_se(lhs_vals)
-    rhs, rhs_se = mean_se(rhs_vals)
-    return ShiftIdentityCheck(lhs=float(lhs), lhs_se=float(lhs_se), rhs=float(rhs),
-                              rhs_se=float(rhs_se), n_used=int(lhs_vals.size),
-                              n_dropped=dropped)
+    return ShiftIdentityCheck.from_samples(*shift_identity_samples(
+        grid, range(m_replicates), t, s, x, y, master_seed))
 
 
 def estimate_g(grid: GridSpec, m_replicates: int, t: float, x: float, y: float,
                master_seed: int = 0) -> MomentEstimate:
     """Estimate g_t(x,y) = E[Gbar(t,x;0,y) / Gbar(t,x;0,0)].
 
-    Per-replicate ratios under shared noise.  For y = 0 numerator and
-    denominator are the same evolved array, so every ratio is exactly 1.
+    Per-replicate ratios under shared noise.  For y = 0 the two sources
+    evolve bit-identically, so every ratio is exactly 1.
     """
     p_num = heat_kernel(t, x - y)
     p_den = heat_kernel(t, x)
@@ -288,17 +285,11 @@ def estimate_g(grid: GridSpec, m_replicates: int, t: float, x: float, y: float,
         raise ValueError("probe configuration reaches heat-kernel underflow")
     ix = grid.index_of(x)
     vals = []
-    dropped = 0
     for rep in range(m_replicates):
-        stream = NoiseStream(master_seed, rep)
-        if y == 0.0:
-            gf = evolve_shared(grid, stream, [(0.0, 0.0)], t)[0]
-            num = den = gf.field.values[ix]
-        else:
-            gf_y, gf_0 = evolve_shared(grid, stream, [(0.0, y), (0.0, 0.0)], t)
-            num, den = gf_y.field.values[ix], gf_0.field.values[ix]
+        gf_y, gf_0 = evolve_shared(grid, NoiseStream(master_seed, rep),
+                                   [(0.0, y), (0.0, 0.0)], t)
+        num, den = gf_y.field.values[ix], gf_0.field.values[ix]
         if den <= 0.0 or num <= 0.0:
-            dropped += 1
             continue
         vals.append((num / p_num) / (den / p_den))
-    return _moment_estimate(np.array(vals))
+    return moment_estimate(vals)

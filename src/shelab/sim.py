@@ -40,6 +40,7 @@ __all__ = [
     "noise_step",
     "evolve",
     "height_residual",
+    "log_residual",
     "heat_step_weights",
     "discrete_kernel_log",
 ]
@@ -234,10 +235,15 @@ def height_residual(field: Field) -> HeightResidual:
     if field.time <= 0.0:
         raise ValueError("height residual requires time > 0")
     valid = field.values > 0.0
-    vals = np.full(field.values.shape, np.nan)
-    logp = log_heat_kernel(field.time, field.grid.positions())
-    vals[valid] = np.log(field.values[valid]) - logp[valid]
+    vals = log_residual(field.values, field.time, field.grid.positions())
+    vals[~valid] = np.nan
     return HeightResidual(grid=field.grid, time=field.time, values=vals, valid=valid)
+
+
+def log_residual(Z, t, x):
+    """log Z - log p_t(x); -inf where Z = 0 (NaN where Z < 0), no warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(Z) - log_heat_kernel(t, x)
 
 
 def discrete_kernel_log(grid: GridSpec, steps: int) -> np.ndarray:

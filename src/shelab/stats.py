@@ -32,6 +32,7 @@ __all__ = [
     "estimate_height_covariance",
     "mean_se",
     "spatial_average",
+    "spatial_averages",
     "ks_normality",
     "fdd_covariance",
 ]
@@ -194,17 +195,21 @@ def spatial_average(residual, mean_residual, N: float) -> SpatialAverageSample:
     if N < 3:
         raise ValueError("N must be >= 3 so that log N > 1")
     g = residual.grid
-    i0 = g.origin_index
-    iN = g.index_of(float(N))
-    window = slice(i0, iN + 1)
-    vals = residual.values[window]
+    window = slice(g.origin_index, g.index_of(float(N)) + 1)
     if not residual.valid[window].all():
         raise ValueError("invalid (underflowed) cells inside [0, N]")
-    centered = vals - np.asarray(mean_residual)
-    integral = np.trapezoid(centered, dx=g.dx)
-    return SpatialAverageSample(
-        t=residual.time, N=float(N),
-        value=float(integral / math.sqrt(N * math.log(N))))
+    centered = residual.values[window] - np.asarray(mean_residual)
+    value = spatial_averages(centered[None, :], g.positions()[window], g.dx, N)[0]
+    return SpatialAverageSample(t=residual.time, N=float(N), value=float(value))
+
+
+def spatial_averages(rows, positions, dx: float, N: float) -> np.ndarray:
+    """(N log N)^(-1/2) int_0^N r dx of each row r, trapezoid rule over the
+    cells of `positions` (the rows' cell positions, starting at 0) with
+    x <= N."""
+    m = positions <= N + 1e-9
+    return (np.array([np.trapezoid(row[m], dx=dx) for row in rows])
+            / math.sqrt(N * math.log(N)))
 
 
 def ks_normality(samples, significance: float = 0.001) -> TestReport:

@@ -59,11 +59,48 @@ def _tiny_diag_cfg(**over):
     (dict(gbar_probe={"x": 11.0}), "gbar_probe.x"),               # outside the grid
     (dict(gbar_probe={"k": 3}), "gbar_probe.k"),                  # no oracle for k != 2
     (dict(gbar_probe={"x": 9.5}), "8 sqrt"),                      # truncation at the probe
+    (dict(holder_s_values=[0.01, 2.0]), "8 sqrt"),                # truncation at the latest s
+    (dict(holder_s_values=[0.01, 0.01]), "distinct"),             # one-point exponent fit
+    (dict(gbar_probe={"t": 1.5}), "domain"),                      # Volterra oracle needs t <= 1
+    (dict(gbar_probe={"volterra_levels": 8}), "domain"),          # ... and >= 16 time levels
 ])
 def test_validation_rejects_diagnostics_probes(over, needle):
     _tiny_diag_cfg().validate()
     with pytest.raises(ConfigError) as err:
         _tiny_diag_cfg(**over).validate()
+    assert any(needle in v for v in err.value.violations)
+
+
+def _tiny_shift_cfg(**over):
+    base = dict(kind="shift_check", master_seed=3, dx=0.05, half_width=7.0,
+                times=[0.5], shift_s=0.25, shift_probes=[[1.0, 0.5]],
+                replicates=8, calibration_replicates=1, workers=1)
+    base.update(over)
+    return ExperimentConfig(**base)
+
+
+def _tiny_clt_cfg(**over):
+    base = dict(kind="clt", master_seed=3, dx=0.1, half_width=20.0, times=[0.5],
+                n_values=[5.0, 10.0], replicates=8, calibration_replicates=2,
+                workers=1)
+    base.update(over)
+    return ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("make, over, needle", [
+    (_tiny_shift_cfg, dict(shift_s=0.2501), "shift_s"),            # off the dt lattice
+    (_tiny_shift_cfg, dict(shift_probes=[[0.03, 0.0]]), "shift_probes"),  # off dx lattice
+    (_tiny_cov_cfg, dict(fit_window=[2.0, 10.0]), "fit_window"),   # 2 positive lags
+    (_tiny_clt_cfg, dict(n_values=[5.05]), "n_values"),            # off the dx lattice
+    (_tiny_cov_cfg, dict(master_seed=1.5), "master_seed"),
+    (_tiny_cov_cfg, dict(replicates=24.0), "replicates must be an integer"),
+    (_tiny_cov_cfg, dict(calibration_replicates=2.5), "calibration_replicates"),
+    (_tiny_cov_cfg, dict(workers=1.5), "workers"),
+])
+def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
+    make().validate()
+    with pytest.raises(ConfigError) as err:
+        make(**over).validate()
     assert any(needle in v for v in err.value.violations)
 
 

@@ -155,6 +155,14 @@ def test_shift_identity_sharding_concatenates():
     assert np.array_equal(np.concatenate([a[1], b[1]]), full[1])
 
 
+def test_shift_samples_reject_z_plus_y_outside_grid():
+    # the Gaussian z-window is centred at (s/t) x - y, so its z + y cells
+    # reach (s/t) x + 2.3 sqrt(s (t - s) / t) = 3.3 > half_width here
+    grid = GridSpec(dx=0.1, half_width=3.0, dt=0.005)
+    with pytest.raises(ValueError, match="leaves the grid"):
+        shift_identity_samples(grid, range(2), 0.4, 0.2, 2.0, 0.5, master_seed=1)
+
+
 def test_shift_samples_match_public_passes(grid):
     # both sides rebuilt from evolve_shared and green_row_adjoint on the same
     # noise: the shift driver must be those passes, bit for bit
