@@ -93,7 +93,6 @@ class ExperimentConfig:
     dx: float = 0.1
     half_width: float = 20.0
     dt: float | None = None          # default dx^2/2
-    boundary: str = "dirichlet_zero"
     # ensemble
     replicates: int = 100
     calibration_replicates: int = 20  # read by clt only; validated for every kind
@@ -114,8 +113,7 @@ class ExperimentConfig:
 
     def grid(self) -> GridSpec:
         dt = self.dt if self.dt is not None else self.dx ** 2 / 2
-        return GridSpec(dx=self.dx, half_width=self.half_width, dt=dt,
-                        boundary=self.boundary)
+        return GridSpec(dx=self.dx, half_width=self.half_width, dt=dt)
 
     # -- validation ----------------------------------------------------------
 
@@ -197,6 +195,15 @@ class ExperimentConfig:
                     bad.append("need 0 < shift_s < t")
                 else:
                     bad += _time_violations(grid, "shift_s", [self.shift_s])
+                    s = self.shift_s
+                    for x, y in self.shift_probes:
+                        # the rhs sums the Gaussian p_{s(t-s)/t}(z + y - (s/t) x)
+                        # over grid cells z: its whole window must be on the grid
+                        centre = abs((s / t_max) * x - y)
+                        if not grid.covers(s * (t_max - s) / t_max, centre):
+                            bad.append(f"shift probe ({x:g}, {y:g}): the rhs "
+                                       f"z-window around z = {centre:g} is cut by "
+                                       f"the grid edge at {grid.half_width:g}")
                 bad += _lattice_violations(grid, "shift_probes",
                                            [v for probe in self.shift_probes for v in probe])
                 x_max = max((max(abs(x), abs(y)) for x, y in self.shift_probes),

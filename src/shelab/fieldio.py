@@ -7,7 +7,8 @@ Record layout (all little-endian, fixed 64-bit fields):
     8       f64      dx
     16      f64      half_width
     24      f64      dt
-    32      u64      boundary code (0 = dirichlet_zero, 1 = periodic)
+    32      u64      reserved, 0 (older records put a boundary code here;
+                     code 1, periodic, is rejected)
     40      f64      time
     48      u64      replicate_id
     56      u64      cell_count
@@ -20,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .sim import BOUNDARIES, Field, GridSpec
+from .sim import Field, GridSpec
 
 __all__ = ["save_field", "load_field", "MAGIC"]
 
@@ -31,8 +32,7 @@ _HEADER = struct.Struct("<8sdddQdQQ")
 def save_field(path, field: Field, replicate_id: int = 0) -> None:
     g = field.grid
     header = _HEADER.pack(
-        MAGIC, g.dx, g.half_width, g.dt, BOUNDARIES.index(g.boundary),
-        field.time, replicate_id, g.cell_count,
+        MAGIC, g.dx, g.half_width, g.dt, 0, field.time, replicate_id, g.cell_count,
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -45,15 +45,16 @@ def load_field(path):
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise ValueError("truncated field record header")
-        magic, dx, half_width, dt, bcode, time, rep, n = _HEADER.unpack(raw)
+        magic, dx, half_width, dt, reserved, time, rep, n = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise ValueError("not a field record (bad magic)")
-        if bcode >= len(BOUNDARIES):
-            raise ValueError(f"unknown boundary code {bcode}")
+        if reserved != 0:
+            raise ValueError(f"reserved word {reserved} is not 0 (code 1 marked "
+                             "a periodic grid, which is not supported)")
         payload = fh.read(8 * n)
     if len(payload) != 8 * n:
         raise ValueError("truncated field record payload")
-    grid = GridSpec(dx=dx, half_width=half_width, dt=dt, boundary=BOUNDARIES[bcode])
+    grid = GridSpec(dx=dx, half_width=half_width, dt=dt)
     if grid.cell_count != n:
         raise ValueError("cell_count inconsistent with grid parameters")
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)

@@ -25,7 +25,7 @@ from scipy.ndimage import convolve1d
 
 from .kernels import heat_kernel
 from .noise import NoiseStream, _FastNormals
-from .sim import Field, GridSpec, _conv_mode, heat_step_weights, noise_factors
+from .sim import Field, GridSpec, heat_step_weights, noise_factors
 from .stats import mean_se
 
 __all__ = [
@@ -111,12 +111,11 @@ def _forward(grid, fields, starts, factors, k0, k1):
     factors(k) at step k.
     """
     w = heat_step_weights(grid.dx, grid.dt)
-    mode = _conv_mode(grid.boundary)
     for k in range(k0, k1):
         for i, (ks, iy) in enumerate(starts):
             if ks == k:
                 fields[i, iy] = 1.0 / grid.dx
-        fields = convolve1d(fields, w, axis=1, mode=mode, cval=0.0)
+        fields = convolve1d(fields, w, axis=1, mode="constant", cval=0.0)
         fields *= factors(k)[None, :]
     return fields
 
@@ -129,10 +128,9 @@ def _adjoint(grid, v, factors, k0, k1):
     M^T v is one backward sweep: multiply by N_k, then convolve.
     """
     w = heat_step_weights(grid.dx, grid.dt)
-    mode = _conv_mode(grid.boundary)
     for k in range(k1 - 1, k0 - 1, -1):
         v = v * factors(k)
-        v = convolve1d(v, w, mode=mode, cval=0.0)
+        v = convolve1d(v, w, mode="constant", cval=0.0)
     return v
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["NoiseStream", "NoiseSlice", "ZeroNoise", "draw_slice"]
+__all__ = ["NoiseStream", "ZeroNoise"]
 
 _U53 = np.uint64(1) << np.uint64(53)
 _INV53 = 2.0 ** -53
@@ -75,23 +75,6 @@ class ZeroNoise:
         if cell_count < 1:
             raise ValueError("cell_count must be >= 1")
         return np.zeros(cell_count)
-
-
-@dataclass(frozen=True)
-class NoiseSlice:
-    """One step's worth of per-cell standard normal draws."""
-
-    step_index: int
-    values: np.ndarray
-
-
-def draw_slice(stream, step_index: int, cell_count: int) -> NoiseSlice:
-    """Draw the noise slice for one time step.
-
-    Pure in (master_seed, replicate_id, step_index, cell index); repeated
-    calls with identical arguments return identical values.
-    """
-    return NoiseSlice(step_index, stream.normals(step_index, cell_count))
 
 
 class _FastNormals:

@@ -6,9 +6,10 @@ One time step is (exact-in-law to first order, positivity preserving):
      grid-sampled Gaussian with its width tuned so the *discrete* variance of
      w equals dt exactly, then normalized to unit mass.  This keeps every
      cell nonnegative (a spectral multiplier does not: from Dirac data it
-     rings negative near the spike), conserves mass exactly on a periodic
-     grid, and evolves Dirac data to the exact Gaussian profile up to an
-     O(dt) quartic-cumulant correction, second order in dx at dt = dx^2/2.
+     rings negative near the spike), conserves mass until it reaches the
+     Dirichlet-zero edges of the grid, and evolves Dirac data to the exact
+     Gaussian profile up to an O(dt) quartic-cumulant correction, second
+     order in dx at dt = dx^2/2.
 
   2. noise_step: multiply cell j by exp(sqrt(dt/dx) xi_j - dt/(2 dx)), the
      mean-one lognormal increment of the Ito multiplicative term on one cell.
@@ -45,8 +46,6 @@ __all__ = [
     "discrete_kernel_log",
 ]
 
-BOUNDARIES = ("dirichlet_zero", "periodic")
-
 # kernel taps are dropped below exp(-92) ~ 1e-40 of the peak
 _TAP_LOG_CUT = 92.0
 
@@ -55,18 +54,16 @@ _LOG_FLOOR = -1.0e30  # stand-in for log(0) in the relative engine
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [-L, L] with cell_count = round(2L/dx) + 1 cells."""
+    """Uniform grid on [-L, L] with cell_count = round(2L/dx) + 1 cells;
+    Z is zero outside it (the truncation rule keeps that edge out of reach)."""
 
     dx: float
     half_width: float
     dt: float
-    boundary: str = "dirichlet_zero"
 
     def __post_init__(self):
         if self.dx <= 0 or self.half_width <= 0 or self.dt <= 0:
             raise ValueError("dx, half_width, dt must be positive")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
         if self.cell_count < 3:
             raise ValueError("grid must have at least 3 cells")
         if self.dt > self.dx ** 2 * (1 + 1e-12):
@@ -113,9 +110,9 @@ class GridSpec:
         return self.half_width >= x_max + 8.0 * np.sqrt(t_max) - 1e-9
 
 
-def default_grid(dx, half_width, boundary="dirichlet_zero") -> GridSpec:
+def default_grid(dx, half_width) -> GridSpec:
     """Grid with the default time step dt = dx^2 / 2."""
-    return GridSpec(dx=dx, half_width=half_width, dt=dx * dx / 2, boundary=boundary)
+    return GridSpec(dx=dx, half_width=half_width, dt=dx * dx / 2)
 
 
 @dataclass
@@ -170,10 +167,6 @@ def heat_step_weights(dx: float, dt: float) -> np.ndarray:
     return w
 
 
-def _conv_mode(boundary: str) -> str:
-    return "wrap" if boundary == "periodic" else "constant"
-
-
 def init_dirac(grid: GridSpec) -> Field:
     """Dirac mass at the origin: 1/dx at the cell nearest 0, zero elsewhere."""
     values = np.zeros(grid.cell_count)
@@ -185,17 +178,17 @@ def heat_step(field: Field) -> Field:
     """Advance the deterministic heat flow by one dt."""
     g = field.grid
     w = heat_step_weights(g.dx, g.dt)
-    out = convolve1d(field.values, w, mode=_conv_mode(g.boundary), cval=0.0)
+    out = convolve1d(field.values, w, mode="constant", cval=0.0)
     return Field(grid=g, time=field.time + g.dt, values=out)
 
 
-def noise_step(field: Field, noise_slice) -> Field:
-    """Apply the mean-one multiplicative noise factor; time is unchanged."""
+def noise_step(field: Field, xi) -> Field:
+    """Apply the mean-one multiplicative noise factor of the standard normals
+    xi (one per cell); time is unchanged."""
     g = field.grid
-    xi = noise_slice.values
     if xi.shape != field.values.shape:
         raise ValueError(
-            f"noise slice length {xi.shape} does not match grid {field.values.shape}"
+            f"noise length {xi.shape} does not match grid {field.values.shape}"
         )
     return Field(grid=g, time=field.time, values=field.values * noise_factors(g, xi))
 
@@ -212,8 +205,6 @@ def evolve(grid: GridSpec, stream, t_checkpoints) -> list[Field]:
     with a .normals(step_index, cell_count) method (NoiseStream, ZeroNoise).
     Deterministic in (grid, stream).
     """
-    from .noise import draw_slice
-
     ks = [grid.step_of(t) for t in t_checkpoints]
     if any(k <= 0 for k in ks):
         raise ValueError("checkpoints must be positive")
@@ -224,7 +215,7 @@ def evolve(grid: GridSpec, stream, t_checkpoints) -> list[Field]:
     out = {}
     for k in range(max(ks)):
         f = heat_step(f)
-        f = noise_step(f, draw_slice(stream, k, grid.cell_count))
+        f = noise_step(f, stream.normals(k, grid.cell_count))
         if k + 1 in want:
             out[k + 1] = Field(grid=grid, time=f.time, values=f.values.copy())
     return [out[k] for k in ks]
@@ -287,21 +278,20 @@ class _BatchEngine:
         self.w = heat_step_weights(grid.dx, grid.dt)
         self.half = len(self.w) // 2
         self.rng = _FastNormals(master_seed)
-        self._periodic = grid.boundary == "periodic"
+        # (idx, dst, src): tap idx, shift s = idx - half, moves cell i - s to
+        # cell i; cells whose source lies past the Dirichlet-zero edge are not
+        # written, and a tap as long as the grid moves nothing
+        self._shifts = [
+            (idx, slice(max(s, 0), self.n + min(s, 0)),
+             slice(max(-s, 0), self.n - max(s, 0)))
+            for idx, s in enumerate(range(-self.half, self.half + 1))
+            if abs(s) < self.n]
 
     def _advance_logK(self, logK):
         """One heat step of the log discrete kernel via log-sum-exp."""
-        taps = len(self.w)
-        stack = np.full((taps, self.n), _LOG_FLOOR)
-        for idx, s in enumerate(range(-self.half, self.half + 1)):
-            if self._periodic:
-                stack[idx] = np.roll(logK, s)
-            elif s == 0:
-                stack[idx] = logK
-            elif s > 0:
-                stack[idx, s:] = logK[:-s]
-            else:
-                stack[idx, :s] = logK[-s:]
+        stack = np.full((len(self.w), self.n), _LOG_FLOOR)
+        for idx, dst, src in self._shifts:
+            stack[idx, dst] = logK[src]
             stack[idx] += np.log(self.w[idx])
         m = stack.max(axis=0)
         dead = m <= _LOG_FLOOR / 2
@@ -318,15 +308,8 @@ class _BatchEngine:
             tw = np.exp(stack - logK1)  # taps x n, each <= 1
         tw[:, logK1 <= _LOG_FLOOR / 2] = 0.0
         Vn = np.zeros_like(V)
-        for idx, s in enumerate(range(-self.half, self.half + 1)):
-            if self._periodic:
-                Vn += tw[idx] * np.roll(V, s, axis=1)
-            elif s == 0:
-                Vn += tw[idx] * V
-            elif s > 0:
-                Vn[:, s:] += tw[idx, s:] * V[:, :-s]
-            else:
-                Vn[:, :s] += tw[idx, :s] * V[:, -s:]
+        for idx, dst, src in self._shifts:
+            Vn[:, dst] += tw[idx, dst] * V[:, src]
         return Vn, logK1
 
     def run(self, replicate_ids, checkpoint_steps, consume):
@@ -349,12 +332,11 @@ class _BatchEngine:
             logdx = np.log(self.grid.dx)
         else:
             X[:, i0] = 1.0 / self.grid.dx
-            mode = _conv_mode(self.grid.boundary)
         for k in range(max(checkpoint_steps)):
             if relative:
                 X, logK = self._relative_heat_step(X, logK)
             else:
-                X = convolve1d(X, self.w, axis=1, mode=mode, cval=0.0)
+                X = convolve1d(X, self.w, axis=1, mode="constant", cval=0.0)
             # xi stays alive until the next draw: freed before the multiply,
             # its block went back to the OS and was faulted in again each
             # step (about 12% of the run at n = 801, B = 64)

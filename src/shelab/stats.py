@@ -26,12 +26,10 @@ from scipy import stats as sps
 
 __all__ = [
     "CovarianceEstimate",
-    "SpatialAverageSample",
     "TestReport",
     "CovarianceAccumulator",
     "estimate_height_covariance",
     "mean_se",
-    "spatial_average",
     "spatial_averages",
     "ks_normality",
     "fdd_covariance",
@@ -57,15 +55,6 @@ class CovarianceEstimate:
     def __post_init__(self):
         if not (len(self.lags) == len(self.cov) == len(self.se) == len(self.n_effective)):
             raise ValueError("lags, cov, se, n_effective must share length")
-
-
-@dataclass
-class SpatialAverageSample:
-    """One realization of (N log N)^(-1/2) * integral_0^N (h - mean) dx."""
-
-    t: float
-    N: float
-    value: float
 
 
 @dataclass
@@ -182,25 +171,6 @@ def estimate_height_covariance(residuals, t: float, lags, bulk_window) -> Covari
             raise ValueError("residual ensemble mixes times")
         acc.add(i, r.values[sel], r.valid[sel])
     return acc.finalize(t, lags)
-
-
-def spatial_average(residual, mean_residual, N: float) -> SpatialAverageSample:
-    """Normalized spatial average (N ln N)^(-1/2) * integral_0^N (r - m) dx.
-
-    mean_residual is the stationary mean estimate: a scalar (grand mean from
-    a disjoint calibration set) or a per-cell profile over [0, N].  The h-
-    and r-centerings coincide because log p_t cancels in h - E[h].  Natural
-    logarithm; N >= 3 so log N > 1.
-    """
-    if N < 3:
-        raise ValueError("N must be >= 3 so that log N > 1")
-    g = residual.grid
-    window = slice(g.origin_index, g.index_of(float(N)) + 1)
-    if not residual.valid[window].all():
-        raise ValueError("invalid (underflowed) cells inside [0, N]")
-    centered = residual.values[window] - np.asarray(mean_residual)
-    value = spatial_averages(centered[None, :], g.positions()[window], g.dx, N)[0]
-    return SpatialAverageSample(t=residual.time, N=float(N), value=float(value))
 
 
 def spatial_averages(rows, positions, dx: float, N: float) -> np.ndarray:

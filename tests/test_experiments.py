@@ -96,6 +96,7 @@ def _tiny_clt_cfg(**over):
     (_tiny_cov_cfg, dict(replicates=24.0), "replicates must be an integer"),
     (_tiny_cov_cfg, dict(calibration_replicates=2.5), "calibration_replicates"),
     (_tiny_cov_cfg, dict(workers=1.5), "workers"),
+    (_tiny_shift_cfg, dict(half_width=20.0, shift_probes=[[14.3, -14.3]]), "z-window"),
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     make().validate()

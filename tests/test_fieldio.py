@@ -7,7 +7,7 @@ from shelab.sim import GridSpec, evolve
 
 
 def test_roundtrip(tmp_path):
-    g = GridSpec(dx=0.1, half_width=2.0, dt=0.005, boundary="periodic")
+    g = GridSpec(dx=0.1, half_width=2.0, dt=0.005)
     f = evolve(g, NoiseStream(5, 3), [0.1])[0]
     path = tmp_path / "snap.shefld"
     save_field(path, f, replicate_id=3)
@@ -48,3 +48,8 @@ def test_corruption_detected(tmp_path):
     short.write_bytes(bytes(raw[:32]))
     with pytest.raises(ValueError):
         load_field(short)
+    assert raw[32:40] == bytes(8)                 # the reserved word is 0
+    periodic = tmp_path / "periodic.shefld"       # old boundary code 1
+    periodic.write_bytes(bytes(raw[:32]) + (1).to_bytes(8, "little") + bytes(raw[40:]))
+    with pytest.raises(ValueError, match="reserved"):
+        load_field(periodic)

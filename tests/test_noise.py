@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from shelab.noise import (NoiseStream, ZeroNoise, _FastNormals, draw_slice)
+from shelab.noise import NoiseStream, ZeroNoise, _FastNormals
 
 
-def test_draw_slice_deterministic():
+def test_normals_deterministic():
     s = NoiseStream(master_seed=1, replicate_id=0)
-    a = draw_slice(s, 5, 100)
-    b = draw_slice(s, 5, 100)
-    assert np.array_equal(a.values, b.values)
-    assert a.step_index == 5
+    a = s.normals(5, 100)
+    b = NoiseStream(master_seed=1, replicate_id=0).normals(5, 100)
+    assert a.shape == (100,)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, s.normals(5, 100))
 
 
 def test_replicates_differ():

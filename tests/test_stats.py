@@ -4,7 +4,7 @@ import pytest
 from shelab.sim import GridSpec, Field, height_residual
 from shelab.kernels import heat_kernel
 from shelab.stats import (CovarianceAccumulator, estimate_height_covariance,
-                          fdd_covariance, ks_normality, spatial_average)
+                          fdd_covariance, ks_normality, spatial_averages)
 
 
 def _accumulate(rows, window, t=1.0, lags=(0.0, 0.5, 1.0, 2.0)):
@@ -113,27 +113,14 @@ def test_estimate_height_covariance_interface_and_errors():
 
 def test_spatial_average_exact_cases():
     grid = GridSpec(dx=0.5, half_width=30.0, dt=0.2)
-    x = grid.positions()
-    t = 1.0
-    res = height_residual(Field(grid=grid, time=t, values=heat_kernel(t, x)))
-    # residual identically zero: centered at its own value -> 0
-    s = spatial_average(res, 0.0, 20.0)
-    assert s.value == pytest.approx(0.0, abs=1e-12)
-    assert s.t == t and s.N == 20.0
-    # residual = m + c: integral is exactly c N / sqrt(N log N)
-    res.values[:] = 0.7
-    s2 = spatial_average(res, 0.4, 20.0)
+    window = grid.window(0.0, 20.0)
+    positions = grid.positions()[window]
+    rows = np.zeros((2, window.size))
+    rows[1] = 0.3          # constant row c: integral is exactly c N
+    vals = spatial_averages(rows, positions, grid.dx, 20.0)
+    assert vals[0] == 0.0
     expected = 0.3 * 20.0 / np.sqrt(20.0 * np.log(20.0))
-    assert s2.value == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        spatial_average(res, 0.0, 2.0)    # N < 3
-    with pytest.raises(ValueError):
-        spatial_average(res, 0.0, 40.0)   # beyond the grid
-    res.values[5] = np.nan
-    res.valid[5] = False
-    if 0 <= x[5] <= 20:
-        with pytest.raises(ValueError):
-            spatial_average(res, 0.0, 20.0)
+    assert vals[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_ks_normality_null_and_power():
