@@ -12,7 +12,7 @@ Chapman-Kolmogorov relation and holds replicate-by-replicate to roundoff;
 at a generic probe both sides agree within Monte Carlo error.
 """
 
-from shelab import estimate_g, verify_shift_identity
+from shelab import ShiftIdentityCheck, estimate_g, shift_identity_samples
 from shelab.sim import GridSpec
 
 grid = GridSpec(dx=0.05, half_width=7.0, dt=0.00125)
@@ -20,7 +20,8 @@ t, s = 0.5, 0.25
 M = 600
 
 for (x, y) in [(0.0, 0.0), (1.0, 0.5)]:
-    chk = verify_shift_identity(grid, M, t, s, x, y, master_seed=99)
+    chk = ShiftIdentityCheck.from_samples(*shift_identity_samples(
+        grid, range(M), t, s, x, y, master_seed=99))
     print(f"shift identity at (x={x:g}, y={y:g}), t={t}, s={s}, M={M}:")
     print(f"  lhs = {chk.lhs:.4f} +- {chk.lhs_se:.4f}")
     print(f"  rhs = {chk.rhs:.4f} +- {chk.rhs_se:.4f}")

@@ -6,7 +6,7 @@ Subpackages:
   noise        counter-based reproducible white-noise increments
   sim          positivity-preserving operator-splitting field evolution
   green        shared-noise Green's functions and ratio estimators
-  stats        mergeable covariance / spatial-average / normality statistics
+  stats        translate-averaged covariance, spatial averages, normality tests
   oracles      deterministic quadrature oracles (simulator-independent)
   experiments  experiment configs, parallel drivers, CSV + report output
   fieldio      flat binary field checkpoints
@@ -19,8 +19,8 @@ from .kernels import (fourier_indicator, heat_kernel, kernel_product_identity,
 from .noise import NoiseStream, ZeroNoise
 from .sim import (Field, GridSpec, HeightResidual, default_grid, evolve,
                   heat_step, height_residual, init_dirac, noise_step)
-from .green import (GreenField, estimate_g, estimate_gbar_moment,
-                    evolve_shared, green_row_adjoint, verify_shift_identity)
+from .green import (ShiftIdentityCheck, estimate_g, evolve_shared,
+                    green_row_adjoint, shift_identity_samples)
 from .stats import (CovarianceAccumulator, CovarianceEstimate, TestReport,
                     estimate_height_covariance, fdd_covariance, ks_normality)
 from .oracles import (QuadratureResult, lemma_2, lemma_s0, lemma_twotime,

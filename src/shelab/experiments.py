@@ -3,8 +3,8 @@
 Replicates are the unit of parallel work.  Worker processes receive fixed
 chunks of replicate ids (the chunking depends only on the replicate count,
 never on the worker count), every record a worker returns is a pure function
-of (config, master_seed, replicate id), and aggregation sorts by replicate
-id.  Estimates and CSV bodies are therefore byte-identical across any worker
+of (config, master_seed, replicate id), and chunks are concatenated in id
+order.  Estimates and CSV bodies are therefore byte-identical across any worker
 layout.  Only the clt driver reads calibration_replicates: its calibration
 pass uses the id range [replicates, replicates + calibration_replicates),
 disjoint from the estimation set.
@@ -156,14 +156,18 @@ class ExperimentConfig:
             if self.kind == "covariance":
                 if not self.lags:
                     bad.append("covariance needs a nonempty lag list")
-                lo, hi = self._bulk(grid)
-                x_max = max(abs(lo), abs(hi))
+                bulk_bad = _window_violations("bulk_window", self.bulk_window)
+                fit_bad = _window_violations("fit_window", self.fit_window or None)
+                bad += bulk_bad + fit_bad
+                if not bulk_bad:
+                    lo, hi = self._bulk(grid)
+                    x_max = max(abs(lo), abs(hi))
                 for lag in self.lags:
                     if lag < 0 or abs(round(lag / grid.dx) * grid.dx - lag) > 1e-9 * max(1, lag):
                         bad.append(f"lag {lag} not on the dx lattice")
-                    if lag > hi - lo:
+                    if not bulk_bad and lag > hi - lo:
                         bad.append(f"lag {lag} exceeds the bulk window span")
-                if self.fit_window:
+                if self.fit_window and not fit_bad:
                     f_lo, f_hi = self.fit_window
                     n_fit = sum(0 < lag and f_lo - 1e-9 <= lag <= f_hi + 1e-9
                                 for lag in self.lags)
@@ -178,6 +182,8 @@ class ExperimentConfig:
                 bad += _lattice_violations(grid, "n_values", self.n_values)
                 if self.kind == "fdd" and len(self.times) != 2:
                     bad.append("fdd needs exactly two times")
+                if self.kind == "fdd" and len(self.n_values) > 1:
+                    bad.append(f"fdd reads one N; n_values holds {len(self.n_values)}")
                 x_max = max(self.n_values, default=0.0)
                 if not time_bad:
                     # the relative engine reaches `half` cells per step;
@@ -189,6 +195,10 @@ class ExperimentConfig:
                         bad.append(f"max N {x_max:g} lies outside the noise cone "
                                    f"|x| <= {cone:g} at t={t0:g}")
             elif self.kind == "shift_check":
+                probes = [_number_pair(p) for p in self.shift_probes]
+                bad += [f"shift_probes: {p!r} must be a list of two numbers [x, y]"
+                        for p, q in zip(self.shift_probes, probes) if q is None]
+                probes = [q for q in probes if q is not None]
                 if self.shift_s is None or not self.shift_probes:
                     bad.append("shift_check needs shift_s and shift_probes")
                 elif not (0 < self.shift_s < t_max):
@@ -196,7 +206,7 @@ class ExperimentConfig:
                 else:
                     bad += _time_violations(grid, "shift_s", [self.shift_s])
                     s = self.shift_s
-                    for x, y in self.shift_probes:
+                    for x, y in probes:
                         # the rhs sums the Gaussian p_{s(t-s)/t}(z + y - (s/t) x)
                         # over grid cells z: its whole window must be on the grid
                         centre = abs((s / t_max) * x - y)
@@ -205,11 +215,13 @@ class ExperimentConfig:
                                        f"z-window around z = {centre:g} is cut by "
                                        f"the grid edge at {grid.half_width:g}")
                 bad += _lattice_violations(grid, "shift_probes",
-                                           [v for probe in self.shift_probes for v in probe])
-                x_max = max((max(abs(x), abs(y)) for x, y in self.shift_probes),
-                            default=0.0)
+                                           [v for probe in probes for v in probe])
+                x_max = max((max(abs(x), abs(y)) for x, y in probes), default=0.0)
             elif self.kind == "diagnostics":
-                x_max = self.first_moment_xmax
+                if _is_real(self.first_moment_xmax) and self.first_moment_xmax >= 0:
+                    x_max = self.first_moment_xmax
+                else:
+                    bad.append("first_moment_xmax must be a number >= 0")
                 holder_bad = _time_violations(grid, "holder_s_values",
                                               self.holder_s_values)
                 bad += holder_bad
@@ -219,6 +231,9 @@ class ExperimentConfig:
                                "exponent fit")
                 t_max = max([t_max, *self.holder_s_values])
                 if self.gbar_probe:
+                    bad += [f"gbar_probe: unknown key {key!r}; the keys are "
+                            f"{', '.join(_GBAR_PROBE_DEFAULTS)}"
+                            for key in self.gbar_probe if key not in _GBAR_PROBE_DEFAULTS]
                     probe = {**_GBAR_PROBE_DEFAULTS, **self.gbar_probe}
                     bad += _time_violations(grid, "gbar_probe.t", [probe["t"]])
                     bad += _lattice_violations(grid, "gbar_probe.x", [probe["x"]])
@@ -265,6 +280,29 @@ class ExperimentConfig:
 
 def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _number_pair(v):
+    """(a, b) as floats when v is a list or tuple of two real numbers, else None."""
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v)):
+        return float(v[0]), float(v[1])
+    return None
+
+
+def _window_violations(name, v):
+    """One violation unless v is None or a window [lo, hi] of two numbers, lo < hi."""
+    if v is None:
+        return []
+    pair = _number_pair(v)
+    if pair is None:
+        return [f"{name} must be a list of two numbers [lo, hi], got {v!r}"]
+    if not pair[0] < pair[1]:
+        return [f"{name} {list(v)} needs lo < hi"]
+    return []
 
 
 def _lattice_violations(grid, name, xs):

@@ -25,35 +25,22 @@ from scipy.ndimage import convolve1d
 
 from .kernels import heat_kernel
 from .noise import NoiseStream, _FastNormals
-from .sim import Field, GridSpec, heat_step_weights, noise_factors
+from .sim import GridSpec, heat_step_weights, noise_factors
 from .stats import mean_se
 
 __all__ = [
-    "GreenField",
     "MomentEstimate",
     "ShiftIdentityCheck",
     "evolve_shared",
     "green_row_adjoint",
-    "gbar_value",
-    "estimate_gbar_moment",
     "moment_estimate",
     "shift_identity_samples",
-    "verify_shift_identity",
     "estimate_g",
 ]
 
 # z-cells whose Gaussian weight falls below this fraction of the peak are
 # dropped from the shift-identity integral
 _WEIGHT_CUT = 1e-12
-
-
-@dataclass
-class GreenField:
-    """Solution started from delta_y at time s, evolved to field.time."""
-
-    source_time: float
-    source_position: float
-    field: Field
 
 
 @dataclass
@@ -134,12 +121,13 @@ def _adjoint(grid, v, factors, k0, k1):
     return v
 
 
-def evolve_shared(grid: GridSpec, stream, sources, t_final: float) -> list[GreenField]:
+def evolve_shared(grid: GridSpec, stream, sources, t_final: float) -> np.ndarray:
     """Evolve every source through the same noise to t_final.
 
     sources is a list of (s, y) pairs with s on the dt lattice, s < t_final,
-    and y on the dx lattice.  A source at (0, 0) reproduces sim.evolve
-    bit-for-bit (identical operations on identical noise).
+    and y on the dx lattice.  Returns the (len(sources), cell_count) array
+    whose row i is G(t_final, .; s_i, y_i).  A source at (0, 0) reproduces
+    sim.evolve bit-for-bit (identical operations on identical noise).
     """
     k_final = grid.step_of(t_final)
     starts = []
@@ -148,14 +136,8 @@ def evolve_shared(grid: GridSpec, stream, sources, t_final: float) -> list[Green
         if not 0 <= ks < k_final:
             raise ValueError(f"source time {s} not in [0, t_final)")
         starts.append((ks, grid.index_of(y)))
-    fields = _forward(grid, np.zeros((len(sources), grid.cell_count)), starts,
-                      _stream_factors(grid, stream), 0, k_final)
-    t_final = k_final * grid.dt
-    return [
-        GreenField(source_time=s, source_position=y,
-                   field=Field(grid=grid, time=t_final, values=fields[i].copy()))
-        for i, (s, y) in enumerate(sources)
-    ]
+    return _forward(grid, np.zeros((len(sources), grid.cell_count)), starts,
+                    _stream_factors(grid, stream), 0, k_final)
 
 
 def green_row_adjoint(grid: GridSpec, stream, x_probe: float,
@@ -171,27 +153,6 @@ def green_row_adjoint(grid: GridSpec, stream, x_probe: float,
     v = np.zeros(grid.cell_count)
     v[grid.index_of(x_probe)] = 1.0
     return _adjoint(grid, v, _stream_factors(grid, stream), ks, kt) / grid.dx
-
-
-def gbar_value(gf: GreenField, x: float) -> float:
-    """Normalized Green value G(t,x;s,y) / p_{t-s}(x-y) for one replicate."""
-    dtv = gf.field.time - gf.source_time
-    p = heat_kernel(dtv, x - gf.source_position)
-    if p == 0.0:
-        raise ValueError("p_{t-s}(x-y) underflows at this probe")
-    return float(gf.field.values[gf.field.grid.index_of(x)]) / p
-
-
-def estimate_gbar_moment(ensemble, x: float, k: int) -> MomentEstimate:
-    """Monte Carlo estimate of E[(G(t,x;s,y)/p_{t-s}(x-y))^k] with SE.
-
-    `ensemble` is a sequence of GreenField replicates from one source.  An
-    estimate whose relative SE exceeds 1 (or with a single replicate) is
-    flagged unreliable rather than raising.
-    """
-    if k < 1:
-        raise ValueError("moment order k must be a positive integer")
-    return moment_estimate([gbar_value(gf, x) ** k for gf in ensemble])
 
 
 def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
@@ -256,20 +217,6 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     return np.array(lhs_vals), np.array(rhs_vals), dropped
 
 
-def verify_shift_identity(grid: GridSpec, m_replicates: int, t: float, s: float,
-                          x: float, y: float, master_seed: int = 0) -> ShiftIdentityCheck:
-    """Estimate both sides of the Green-function shift identity.
-
-    lhs:  E[ Gbar(t,x;s,y) / Gbar(t,x;0,0) ], shared-noise sources (s,y), (0,0).
-    rhs:  E[ Gbar(t,0;s,0) / integral dz p_{s(t-s)/t}(z + y - (s/t)x)
-             * Gbar(t,0;s,z) * Gbar(s,z+y;0,0) ],
-    with the z-integral realized as a dx-weighted grid sum; the Gbar(t,0;s,z)
-    family comes from one adjoint pass per replicate.
-    """
-    return ShiftIdentityCheck.from_samples(*shift_identity_samples(
-        grid, range(m_replicates), t, s, x, y, master_seed))
-
-
 def estimate_g(grid: GridSpec, m_replicates: int, t: float, x: float, y: float,
                master_seed: int = 0) -> MomentEstimate:
     """Estimate g_t(x,y) = E[Gbar(t,x;0,y) / Gbar(t,x;0,0)].
@@ -284,9 +231,8 @@ def estimate_g(grid: GridSpec, m_replicates: int, t: float, x: float, y: float,
     ix = grid.index_of(x)
     vals = []
     for rep in range(m_replicates):
-        gf_y, gf_0 = evolve_shared(grid, NoiseStream(master_seed, rep),
-                                   [(0.0, y), (0.0, 0.0)], t)
-        num, den = gf_y.field.values[ix], gf_0.field.values[ix]
+        num, den = evolve_shared(grid, NoiseStream(master_seed, rep),
+                                 [(0.0, y), (0.0, 0.0)], t)[:, ix]
         if den <= 0.0 or num <= 0.0:
             continue
         vals.append((num / p_num) / (den / p_den))

@@ -7,9 +7,11 @@ pure function of (master_seed, replicate_id, step_index, cell_index):
     step_index placed in the high counter word.  Within a step the low
     counter word advances, so steps never collide for any realistic cell
     count.
-  * One 53-bit uniform per cell, mapped through the normal inverse CDF.
-    No rejection loops, so the coordinate -> value map has no data-dependent
-    stream consumption.
+  * One raw 64-bit Philox word per cell; its top 53 bits k give the
+    uniform (k + 1/2) 2^-53, mapped through the normal inverse CDF.  Only
+    the raw Philox stream of numpy is relied on, and no word is ever
+    rejected, so the coordinate -> value map has no data-dependent stream
+    consumption.
 
 Replicates are therefore parallelizable in any order with bit-identical
 output.  Not cryptographic; not low-discrepancy.
@@ -24,7 +26,6 @@ from scipy.special import ndtri
 
 __all__ = ["NoiseStream", "ZeroNoise"]
 
-_U53 = np.uint64(1) << np.uint64(53)
 _INV53 = 2.0 ** -53
 
 
@@ -59,9 +60,7 @@ class NoiseStream:
             key=np.array([self.master_seed, self.replicate_id], dtype=np.uint64),
             counter=np.array([0, 0, 0, step_index], dtype=np.uint64),
         )
-        gen = np.random.Generator(bg)
-        u = gen.integers(0, _U53, size=cell_count, dtype=np.uint64)
-        return _uniforms_to_normals(u)
+        return _uniforms_to_normals(bg.random_raw(cell_count) >> 11)
 
 
 class ZeroNoise:
@@ -89,7 +88,6 @@ class _FastNormals:
     def __init__(self, master_seed: int):
         self.master_seed = master_seed
         self._bg = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
         self._state = self._bg.state
 
     def fill_u53(self, out, replicate_id: int, step_index: int):
@@ -100,7 +98,7 @@ class _FastNormals:
         st["state"]["key"][1] = replicate_id
         st["buffer_pos"] = 4
         self._bg.state = st
-        out[:] = self._gen.integers(0, _U53, size=out.size, dtype=np.uint64)
+        np.right_shift(self._bg.random_raw(out.size), 11, out=out)
 
     def normals_block(self, replicate_ids, step_index: int, cell_count: int):
         """(len(replicate_ids), cell_count) matrix of normals for one step."""

@@ -54,6 +54,20 @@ def _quad(f, a, b, **kw):
                             evaluations=int(info["neval"]))
 
 
+def _scaled(res: QuadratureResult, pref: float) -> QuadratureResult:
+    """res with value and error estimate multiplied by pref."""
+    return QuadratureResult(value=pref * res.value,
+                            abs_error_estimate=pref * res.abs_error_estimate,
+                            evaluations=res.evaluations)
+
+
+def _lemma_min_time(t1: float, t2: float, N: float) -> float:
+    """t1 ^ t2, after checking the lemma integrals' common domain."""
+    if min(t1, t2) <= 0 or N < 10:
+        raise ValueError("need t1, t2 > 0 and N >= 10")
+    return min(t1, t2)
+
+
 def limiting_constant(t: float) -> QuadratureResult:
     """integral_0^inf (pi s t^2)^(-1/2) e^{-s/(4 t^2)} ds, exactly 2 for all t.
 
@@ -128,9 +142,7 @@ def lemma_twotime(t1: float, t2: float, N: float) -> QuadratureResult:
     N -> infinity is 2 (t1 ^ t2); the approach is O(1/log N) slow, driven by
     the tau ~ 2 boundary layer where the Gaussian is as wide as the domain.
     """
-    if min(t1, t2) <= 0 or N < 10:
-        raise ValueError("need t1, t2 > 0 and N >= 10")
-    tm = min(t1, t2)
+    tm = _lemma_min_time(t1, t2, N)
     lnN = math.log(N)
 
     def integrand(tau):
@@ -138,10 +150,7 @@ def lemma_twotime(t1: float, t2: float, N: float) -> QuadratureResult:
         return _twotime_inner(t1, t2, max(c, 0.0))
 
     res = _quad(integrand, 0.0, 2.0, points=[2.0 - 3.0 / lnN], limit=400)
-    return QuadratureResult(value=t1 * t2 / (2.0 * math.pi) * res.value,
-                            abs_error_estimate=t1 * t2 / (2.0 * math.pi)
-                            * res.abs_error_estimate,
-                            evaluations=res.evaluations)
+    return _scaled(res, t1 * t2 / (2.0 * math.pi))
 
 
 def lemma_s0(t1: float, t2: float, N: float) -> QuadratureResult:
@@ -152,9 +161,7 @@ def lemma_s0(t1: float, t2: float, N: float) -> QuadratureResult:
 
     Decays to 0 like O(1/log N).  s = v^4 removes the endpoint singularity.
     """
-    if min(t1, t2) <= 0 or N < 10:
-        raise ValueError("need t1, t2 > 0 and N >= 10")
-    tm = min(t1, t2)
+    tm = _lemma_min_time(t1, t2, N)
     scale = (tm * N) ** 2
 
     def f(v):
@@ -163,10 +170,7 @@ def lemma_s0(t1: float, t2: float, N: float) -> QuadratureResult:
         return 4.0 * 2.0 * _cos_gauss_primitive(1.0, max(c, 0.0))
 
     res = _quad(f, 0.0, tm ** 0.25)
-    pref = t1 * t2 / (math.pi * tm * math.log(N))
-    return QuadratureResult(value=pref * res.value,
-                            abs_error_estimate=pref * res.abs_error_estimate,
-                            evaluations=res.evaluations)
+    return _scaled(res, t1 * t2 / (math.pi * tm * math.log(N)))
 
 
 def lemma_2(t1: float, t2: float, N: float) -> QuadratureResult:
@@ -179,9 +183,7 @@ def lemma_2(t1: float, t2: float, N: float) -> QuadratureResult:
     proof bounds it by e log(e + e/q)); the remaining z integral has the
     integrable log singularity of E_1 at 0 and a Gaussian tail.
     """
-    if min(t1, t2) <= 0 or N < 10:
-        raise ValueError("need t1, t2 > 0 and N >= 10")
-    tm = min(t1, t2)
+    tm = _lemma_min_time(t1, t2, N)
     a, b = 1.0 / t1, 1.0 / t2
 
     def f(z):
@@ -194,10 +196,7 @@ def lemma_2(t1: float, t2: float, N: float) -> QuadratureResult:
     # E_1 kills the integrand beyond z^2/tm ~ 700; stay clear of overflow
     z_hi = math.sqrt(700.0 * tm)
     res = _quad(f, 0.0, z_hi, points=[min(1.0, z_hi / 2)], limit=400)
-    pref = 2.0 * t1 * t2 / math.log(N)
-    return QuadratureResult(value=pref * res.value,
-                            abs_error_estimate=pref * res.abs_error_estimate,
-                            evaluations=res.evaluations)
+    return _scaled(res, 2.0 * t1 * t2 / math.log(N))
 
 
 def lemma_y(t1: float, t2: float, N: float) -> QuadratureResult:
@@ -208,9 +207,7 @@ def lemma_y(t1: float, t2: float, N: float) -> QuadratureResult:
     Decays to 0 along an N ladder; the dominant contribution shrinks like a
     power of N^{-tau/4} inside the tau integral.
     """
-    if min(t1, t2) <= 0 or N < 10:
-        raise ValueError("need t1, t2 > 0 and N >= 10")
-    tm = min(t1, t2)
+    tm = _lemma_min_time(t1, t2, N)
     lnN = math.log(N)
 
     def inner(tau):
@@ -238,6 +235,16 @@ def lemma_y(t1: float, t2: float, N: float) -> QuadratureResult:
 
 class ResolutionError(RuntimeError):
     """Raised when the marching grid cannot certify the requested tolerance."""
+
+
+def _simpson_theta(n_theta: int):
+    """Nodes on [0, pi/2] and composite Simpson weights (n_theta odd)."""
+    thetas = np.linspace(0.0, math.pi / 2, n_theta)
+    simp = np.ones(n_theta)
+    simp[1:-1:2] = 4.0
+    simp[2:-1:2] = 2.0
+    simp *= (thetas[1] - thetas[0]) / 3.0
+    return thetas, simp
 
 
 class VolterraSecondMoment:
@@ -291,11 +298,7 @@ class VolterraSecondMoment:
     def _march(self, n_theta: int = 33):
         K = self.K
         self.G2 = np.ones((K + 1, self.wgrid.size))
-        thetas = np.linspace(0.0, math.pi / 2, n_theta)
-        simp = np.ones(n_theta)
-        simp[1:-1:2] = 4.0
-        simp[2:-1:2] = 2.0
-        simp *= (thetas[1] - thetas[0]) / 3.0
+        thetas, simp = _simpson_theta(n_theta)
         for k in range(1, K + 1):
             tk = self.slevels[k]
             pref = math.sqrt(tk / math.pi)
@@ -321,12 +324,7 @@ class VolterraSecondMoment:
         t = self.t
         half = (x + y) / 2.0
         diff = abs(x - y)
-        n_theta = 129
-        thetas = np.linspace(0.0, math.pi / 2, n_theta)
-        simp = np.ones(n_theta)
-        simp[1:-1:2] = 4.0
-        simp[2:-1:2] = 2.0
-        simp *= (thetas[1] - thetas[0]) / 3.0
+        thetas, simp = _simpson_theta(129)
         total = 0.0
         for th, wq in zip(thetas, simp):
             s = t * math.sin(th) ** 2

@@ -9,11 +9,11 @@ badly anticonservative.  n_effective counts replicates times the number
 of decorrelation lengths in the translate span, with the decorrelation
 length fixed at 1.0 (_DECORRELATION_LENGTH).
 
-Accumulators are mergeable by construction: each replicate contributes an
-immutable record keyed by replicate_id, merging is a disjoint union, and
-finalize reduces the records in canonical replicate_id order.  Merged
-partials from any worker layout are therefore bit-identical to single-pass
-accumulation.
+Each replicate contributes an immutable record keyed by replicate_id, and
+finalize reduces the records in replicate_id order, so the estimate does not
+depend on the order of add() calls.  The drivers concatenate worker chunks
+in id order and add every row to one accumulator; merge() (a disjoint union
+of partial accumulators) is a library convenience that no driver uses.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class TestReport:
 
 
 class CovarianceAccumulator:
-    """Mergeable accumulator of residual rows over a common bulk window.
+    """Accumulator of residual rows over a common bulk window.
 
     add() stores one replicate's residual values on the window (with a
     validity mask); merge() unions disjoint replicate sets; finalize()

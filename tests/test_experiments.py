@@ -63,6 +63,8 @@ def _tiny_diag_cfg(**over):
     (dict(holder_s_values=[0.01, 0.01]), "distinct"),             # one-point exponent fit
     (dict(gbar_probe={"t": 1.5}), "domain"),                      # Volterra oracle needs t <= 1
     (dict(gbar_probe={"volterra_levels": 8}), "domain"),          # ... and >= 16 time levels
+    (dict(first_moment_xmax=-1.0), "first_moment_xmax"),          # empty first-moment window
+    (dict(gbar_probe={"tt": 0.3}), "unknown key 'tt'"),           # would run the default t
 ])
 def test_validation_rejects_diagnostics_probes(over, needle):
     _tiny_diag_cfg().validate()
@@ -87,6 +89,11 @@ def _tiny_clt_cfg(**over):
     return ExperimentConfig(**base)
 
 
+def _tiny_fdd_cfg(**over):
+    return _tiny_clt_cfg(**{"kind": "fdd", "times": [0.25, 0.5], "n_values": [5.0],
+                            **over})
+
+
 @pytest.mark.parametrize("make, over, needle", [
     (_tiny_shift_cfg, dict(shift_s=0.2501), "shift_s"),            # off the dt lattice
     (_tiny_shift_cfg, dict(shift_probes=[[0.03, 0.0]]), "shift_probes"),  # off dx lattice
@@ -97,6 +104,13 @@ def _tiny_clt_cfg(**over):
     (_tiny_cov_cfg, dict(calibration_replicates=2.5), "calibration_replicates"),
     (_tiny_cov_cfg, dict(workers=1.5), "workers"),
     (_tiny_shift_cfg, dict(half_width=20.0, shift_probes=[[14.3, -14.3]]), "z-window"),
+    (_tiny_cov_cfg, dict(bulk_window=[-3.0]), "bulk_window"),      # one number
+    (_tiny_cov_cfg, dict(bulk_window=[3.0, -3.0]), "lo < hi"),
+    (_tiny_cov_cfg, dict(fit_window=[1.0]), "fit_window"),
+    (_tiny_cov_cfg, dict(fit_window=[3.0, 1.0]), "lo < hi"),
+    (_tiny_shift_cfg, dict(shift_probes=[[1.0]]), "two numbers"),
+    (_tiny_shift_cfg, dict(shift_probes=[[1.0, 0.5], 1.0]), "two numbers"),
+    (_tiny_fdd_cfg, dict(n_values=[5.0, 10.0]), "fdd reads one N"),  # would use the first
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     make().validate()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from shelab.green import (estimate_g, estimate_gbar_moment, evolve_shared,
-                          gbar_value, green_row_adjoint,
-                          shift_identity_samples, verify_shift_identity)
+from shelab.experiments import _gbar
+from shelab.green import (ShiftIdentityCheck, estimate_g, evolve_shared,
+                          green_row_adjoint, moment_estimate,
+                          shift_identity_samples)
 from shelab.kernels import heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise
 from shelab.sim import GridSpec, evolve, heat_step, init_dirac
@@ -16,23 +17,23 @@ def grid():
 
 def test_origin_source_reproduces_sim_evolve(grid):
     stream = NoiseStream(6, 2)
-    gf = evolve_shared(grid, stream, [(0.0, 0.0)], 0.25)[0]
+    g = evolve_shared(grid, stream, [(0.0, 0.0)], 0.25)
     ref = evolve(grid, stream, [0.25])[0]
-    assert np.array_equal(gf.field.values, ref.values)
+    assert g.shape == (1, grid.cell_count)
+    assert np.array_equal(g[0], ref.values)
 
 
 def test_duplicate_sources_bit_identical(grid):
     a, b = evolve_shared(grid, NoiseStream(6, 0), [(0.0, 0.0), (0.0, 0.0)], 0.2)
-    assert np.array_equal(a.field.values, b.field.values)
+    assert np.array_equal(a, b)
 
 
 def test_joint_vs_separate_evolution_identical(grid):
     stream = NoiseStream(13, 1)
     joint = evolve_shared(grid, stream, [(0.0, 0.0), (0.1, 0.5)], 0.3)
-    solo0 = evolve_shared(grid, stream, [(0.0, 0.0)], 0.3)[0]
-    solo1 = evolve_shared(grid, stream, [(0.1, 0.5)], 0.3)[0]
-    assert np.array_equal(joint[0].field.values, solo0.field.values)
-    assert np.array_equal(joint[1].field.values, solo1.field.values)
+    solo0 = evolve_shared(grid, stream, [(0.0, 0.0)], 0.3)
+    solo1 = evolve_shared(grid, stream, [(0.1, 0.5)], 0.3)
+    assert np.array_equal(joint, np.vstack([solo0, solo1]))
 
 
 def test_source_validation(grid):
@@ -44,7 +45,7 @@ def test_source_validation(grid):
 
 def test_noise_free_source_matches_heat_flow(grid):
     s, y, t = 0.1, 0.5, 0.3
-    gf = evolve_shared(grid, ZeroNoise(), [(s, y)], t)[0]
+    g = evolve_shared(grid, ZeroNoise(), [(s, y)], t)[0]
     f = init_dirac(grid)
     f.values[:] = 0.0
     f.values[grid.index_of(y)] = 1.0 / grid.dx
@@ -53,7 +54,7 @@ def test_noise_free_source_matches_heat_flow(grid):
         f = heat_step(f)
     oracle = f.values * np.exp(-ksteps * grid.dt / (2 * grid.dx))
     nz = oracle > 0
-    assert np.max(np.abs(gf.field.values[nz] - oracle[nz]) / oracle[nz]) <= 1e-12
+    assert np.max(np.abs(g[nz] - oracle[nz]) / oracle[nz]) <= 1e-12
 
 
 def test_adjoint_row_equals_forward_probes(grid):
@@ -63,40 +64,39 @@ def test_adjoint_row_equals_forward_probes(grid):
     for y in (-0.4, 0.0, 0.7, 1.2):
         fwd = evolve_shared(grid, stream, [(s, y)], t)[0]
         a = row[grid.index_of(y)]
-        b = fwd.field.values[grid.index_of(0.7)]
+        b = fwd[grid.index_of(0.7)]
         assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_gbar_per_replicate_matches_she_ratio(grid):
+    # the drivers' normalization of the (0, 0) source row is Z(t, x) / p_t(x)
     stream = NoiseStream(4, 7)
     t = 0.3
-    gf = evolve_shared(grid, stream, [(0.0, 0.0)], t)[0]
+    g = evolve_shared(grid, stream, [(0.0, 0.0)], t)[0]
     z = evolve(grid, stream, [t])[0]
-    i0 = grid.origin_index
-    assert gbar_value(gf, 0.0) == z.values[i0] / heat_kernel(t, 0.0)
+    x = grid.positions()
+    assert np.allclose(_gbar(g, t, x), z.values / heat_kernel(t, x),
+                       rtol=1e-13, atol=0.0)
 
 
 def test_estimate_gbar_moment_mean_one():
+    # the diagnostics driver's path: moment_estimate of _gbar at the probe
     grid = GridSpec(dx=0.1, half_width=4.0, dt=0.005)
-    t = 0.25
-    ens = [evolve_shared(grid, NoiseStream(3, r), [(0.0, 0.0)], t)[0]
-           for r in range(400)]
-    est = estimate_gbar_moment(ens, x=0.5, k=1)
-    assert est.reliable
+    t, x = 0.25, 0.5
+    ix = grid.index_of(x)
+    vals = [_gbar(evolve_shared(grid, NoiseStream(3, r), [(0.0, 0.0)], t)[0, ix], t, x)
+            for r in range(400)]
+    est = moment_estimate(vals)
+    assert est.reliable and est.n == 400
     assert abs(est.value - 1.0) <= 3 * est.se
 
 
 def test_estimate_gbar_moment_degenerate():
-    grid = GridSpec(dx=0.1, half_width=4.0, dt=0.005)
-    ens = [evolve_shared(grid, NoiseStream(3, 0), [(0.0, 0.0)], 0.1)[0]]
-    est = estimate_gbar_moment(ens, x=0.0, k=2)
+    # one value: no SE, so the estimate is flagged unreliable
+    est = moment_estimate([1.7])
+    assert est.value == 1.7 and est.n == 1
     assert not est.reliable and np.isnan(est.se)
-    with pytest.raises(ValueError):
-        estimate_gbar_moment(ens, x=0.0, k=0)
-    early = [evolve_shared(grid, NoiseStream(3, 0), [(0.0, 0.0)], grid.dt)[0]]
-    with pytest.raises(ValueError):
-        # p_t(x) underflows at one step out at this distance
-        estimate_gbar_moment(early, x=3.9, k=1)
+    assert not moment_estimate([0.0, 0.0]).reliable       # zero mean
 
 
 def test_estimate_g_identity_at_y_zero():
@@ -129,7 +129,8 @@ def test_shift_identity_lattice_exact_at_origin(grid):
 
 def test_shift_identity_check_small():
     grid = GridSpec(dx=0.1, half_width=5.0, dt=0.005)
-    chk = verify_shift_identity(grid, 250, 0.4, 0.2, 1.0, 0.5, master_seed=17)
+    chk = ShiftIdentityCheck.from_samples(*shift_identity_samples(
+        grid, range(250), 0.4, 0.2, 1.0, 0.5, master_seed=17))
     assert chk.n_used == 250
     assert abs(chk.lhs - chk.rhs) <= 3 * chk.combined_se + 0.05 * chk.lhs
 
@@ -177,11 +178,10 @@ def test_shift_samples_match_public_passes(grid):
     zy = np.nonzero(keep)[0] + grid.index_of(y) - i0    # cells of z + y
     for rep in range(5):
         stream = NoiseStream(seed, rep)
-        g0, gy = evolve_shared(grid, stream, [(0.0, 0.0), (s, y)], t)
-        z_s = evolve_shared(grid, stream, [(0.0, 0.0)], s)[0].field.values
+        g0, gy = evolve_shared(grid, stream, [(0.0, 0.0), (s, y)], t)[:, ix]
+        z_s = evolve_shared(grid, stream, [(0.0, 0.0)], s)[0]
         row = green_row_adjoint(grid, stream, 0.0, s, t)
-        lhs_ref = ((gy.field.values[ix] / heat_kernel(t - s, x - y))
-                   / (g0.field.values[ix] / heat_kernel(t, x)))
+        lhs_ref = (gy / heat_kernel(t - s, x - y)) / (g0 / heat_kernel(t, x))
         gb_t = row[keep] / heat_kernel(t - s, z[keep])
         gb_s = z_s[zy] / heat_kernel(s, z[keep] + y)
         denom = float((w[keep] * gb_t * gb_s).sum() * grid.dx)

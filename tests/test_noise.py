@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import ndtri
 
 from shelab.noise import NoiseStream, ZeroNoise, _FastNormals
 
@@ -74,6 +75,20 @@ def test_fast_normals_bit_identical_to_public_path():
         fast.fill_u53(out[0], rep, step)
         got = fast.normals_block([rep], step, 257)[0]
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("seed, rep, step, n", [
+    (0, 0, 0, 1), (77, 3, 17, 257), (2 ** 64 - 1, 12, 999, 1000), (5, 2 ** 40, 2, 3),
+])
+def test_normals_match_the_documented_map(seed, rep, step, n):
+    # the variate map written out independently: 53-bit integers from numpy's
+    # Generator on the same Philox key and counter, then the inverse CDF
+    bg = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64),
+                          counter=np.array([0, 0, 0, step], dtype=np.uint64))
+    k = np.random.Generator(bg).integers(0, 2 ** 53, size=n, dtype=np.uint64)
+    ref = ndtri((k + 0.5) * 2.0 ** -53)
+    assert np.array_equal(NoiseStream(seed, rep).normals(step, n), ref)
+    assert np.array_equal(_FastNormals(seed).normals_block([rep], step, n)[0], ref)
 
 
 def test_zero_noise_hook():
