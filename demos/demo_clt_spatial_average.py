@@ -6,10 +6,11 @@ Gaussian marginals; pairs (X_N(t1), X_N(t2)) have covariance -> 2 min(t1,t2).
 This demo estimates Var[X_N(1)]/2 at two N values, the KS normality p-value,
 and the two-time covariance ratio at N = 50.
 
-Note the finite-size behaviour: the variance ratio sits well below 1 and
-*decreases* from N = 50 to N = 200 at t = 1 - the covariance tail is still
-below its asymptote over these distances, and the log-speed normalization
-over-counts.  The Gaussianity of the samples is already excellent.
+Note the resolution effect: the variance ratio sits well below 1 and
+*decreases* from N = 50 to N = 200 at t = 1.  The lattice cuts off the t/x
+covariance tail past x* ~ 2 sqrt(2) t/dx, about 28 at dx = 0.1: its first
+chaos falls 0.654 -> 0.537 over these N while the continuum first chaos
+rises 0.756 -> 0.815.  The Gaussianity of the samples is already excellent.
 """
 
 from shelab.experiments import ExperimentConfig, run

@@ -35,6 +35,7 @@ __all__ = [
     "green_row_adjoint",
     "moment_estimate",
     "shift_identity_samples",
+    "shift_window_cut",
     "estimate_g",
 ]
 
@@ -155,6 +156,17 @@ def green_row_adjoint(grid: GridSpec, stream, x_probe: float,
     return _adjoint(grid, v, _stream_factors(grid, stream), ks, kt) / grid.dx
 
 
+def shift_window_cut(grid: GridSpec, t: float, s: float, x: float, y: float):
+    """Why the grid cuts the rhs z-window of the shift identity at probe
+    (x, y), or None: the Gaussian p_{s(t-s)/t}(z + y - (s/t) x) summed over
+    grid cells z must pass the grid's truncation rule."""
+    centre = abs((s / t) * x - y)
+    if not grid.covers(s * (t - s) / t, centre):
+        return (f"the rhs z-window around z = {centre:g} is cut by the grid "
+                f"edge at {grid.half_width:g}")
+    return None
+
+
 def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
                            x: float, y: float, master_seed: int = 0):
     """Per-replicate (lhs, rhs) samples of the shift identity.
@@ -166,8 +178,8 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     One merged forward pass carries both sources (0,0) and (s,y) and
     checkpoints the (0,0) field at time s; one adjoint pass supplies the
     whole G(t,0;s,.) family.  Identical noise coordinates throughout.
-    Raises ValueError when no z-cell carries Gaussian weight or a kept
-    z + y cell lies outside the grid.
+    Raises ValueError when no z-cell carries Gaussian weight, a kept z + y
+    cell lies outside the grid, or shift_window_cut finds the window cut.
     """
     kt, ks = grid.step_of(t), grid.step_of(s)
     if not 0 < ks < kt:
@@ -182,6 +194,9 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     zy = np.flatnonzero(keep) + (iy - i0)     # cells of z + y
     if not zy.size or zy[0] < 0 or zy[-1] >= n:
         raise ValueError("the Gaussian z-window is empty or z + y leaves the grid")
+    cut = shift_window_cut(grid, t, s, x, y)
+    if cut:
+        raise ValueError(cut)
 
     p_ts_xy = heat_kernel(t - s, x - y)
     p_t_x = heat_kernel(t, x)

@@ -47,9 +47,6 @@ class NoiseStream:
         if self.replicate_id < 0:
             raise ValueError("replicate_id must be nonnegative")
 
-    def replicate(self, replicate_id: int) -> "NoiseStream":
-        return NoiseStream(self.master_seed, replicate_id)
-
     def normals(self, step_index: int, cell_count: int) -> np.ndarray:
         """Standard normals at (replicate, step, 0..cell_count-1)."""
         if step_index < 0:
@@ -66,9 +63,6 @@ class NoiseStream:
 class ZeroNoise:
     """Test hook: every variate is 0, turning each noise factor into the
     deterministic compensator exp(-dt/(2 dx))."""
-
-    def replicate(self, replicate_id: int) -> "ZeroNoise":
-        return self
 
     def normals(self, step_index: int, cell_count: int) -> np.ndarray:
         if cell_count < 1:

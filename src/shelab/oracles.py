@@ -10,8 +10,9 @@ collapsed with the exact primitives
 
     int_0^1 exp(-q / r) dr / r = E_1(q)
 
-so every driver is a benign 1-2 dimensional adaptive quadrature.  Nothing
-here consumes simulator output.
+so every driver is a benign 1-2 dimensional adaptive quadrature.  The
+second-moment oracle needs no quadrature: its Volterra system has the
+closed-form delta-Bose solution.  Nothing here consumes simulator output.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erf, exp1
+from scipy.special import erf, erfcx, exp1
 
-from .kernels import fourier_indicator, heat_kernel, log_heat_kernel
+from .kernels import fourier_indicator, heat_kernel
 
 __all__ = [
     "QuadratureResult",
@@ -33,7 +34,6 @@ __all__ = [
     "lemma_s0",
     "lemma_2",
     "lemma_y",
-    "VolterraSecondMoment",
     "second_moment_volterra",
 ]
 
@@ -230,147 +230,23 @@ def lemma_y(t1: float, t2: float, N: float) -> QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# Volterra second-moment oracle
+# second-moment oracle
 # ---------------------------------------------------------------------------
 
-class ResolutionError(RuntimeError):
-    """Raised when the marching grid cannot certify the requested tolerance."""
+def second_moment_volterra(t: float, x: float, y: float) -> float:
+    """E[Z(t,x) Z(t,y)] / (p_t(x) p_t(y)) for narrow-wedge data, in closed form.
 
+    The mild-form Ito isometry gives a Volterra system for the pair moment;
+    with the kernel-product identity its ratio to p_t(x) p_t(y) satisfies
 
-def _simpson_theta(n_theta: int):
-    """Nodes on [0, pi/2] and composite Simpson weights (n_theta odd)."""
-    thetas = np.linspace(0.0, math.pi / 2, n_theta)
-    simp = np.ones(n_theta)
-    simp[1:-1:2] = 4.0
-    simp[2:-1:2] = 2.0
-    simp *= (thetas[1] - thetas[0]) / 3.0
-    return thetas, simp
+        ratio(t,x,y) = 1 + int_0^t p_{2s(t-s)/t}((s/t)|x-y|) ratio(s,0,0) ds,
 
+    whose solution is the delta-Bose-gas two-point function (Bertini and
+    Cancrini, J. Stat. Phys. 78, 1995)
 
-class VolterraSecondMoment:
-    """Second moments of Z from the mild-form Ito isometry, by time marching.
-
-    The Volterra system  g(t,z) = p_t(z)^2 + int_0^t int p_{t-s}(z-w)^2 g(s,w) dw ds
-    is marched in the bounded ratio G2(s,w) = g(s,w)/p_s(w)^2, for which the
-    kernel-product identity collapses the equation to
-
-        G2(t,z) = 1 + sqrt(t/pi) int_0^{pi/2} M[G2](t sin^2 theta, z) dtheta,
-        M[G2](s, z) = int p_{s(t-s)/(2t)}(w - (s/t) z) G2(s, w) dw,
-
-    i.e. Gaussian-weighted averages of earlier levels; theta quadrature is a
-    composite Simpson rule and the (weak) implicit endpoint is solved exactly
-    since it enters linearly.  The pair function follows the same reduction:
-
-        f(t,x,y) = p_t(x) p_t(y) [1 + int_0^t p_{2s(t-s)/t}((s/t)(x-y))
-                                       M'[G2](s, (x+y)/2 ...) ds].
+        ratio(t,x,y) = 1 + (sqrt(pi t)/2) erfcx((|x-y| - t) / (2 sqrt t)).
     """
-
-    def __init__(self, t: float, time_levels: int, w_halfwidth: float, dw: float):
-        self.t = t
-        self.K = time_levels
-        self.wgrid = np.arange(-w_halfwidth, w_halfwidth + dw / 2, dw)
-        self.dw = dw
-        self.slevels = np.linspace(0.0, t, time_levels + 1)
-        self.G2 = None
-        self._march()
-
-    # Gaussian-weighted average of a level against p_var(w - mu), normalized
-    # on the grid so that averaging the constant 1 returns exactly 1.
-    def _gauss_avg(self, level_vals, mu, var):
-        if var < 1e-14:
-            idx = np.clip(np.round((mu - self.wgrid[0]) / self.dw).astype(int),
-                          0, self.wgrid.size - 1)
-            return level_vals[idx]
-        logw = -((self.wgrid[None, :] - np.asarray(mu)[:, None]) ** 2) / (2.0 * var)
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
-        return (w * level_vals[None, :]).sum(axis=1) / w.sum(axis=1)
-
-    def _interp_level(self, s):
-        """Linear-in-s interpolation of G2(s, .) between marched levels."""
-        if s <= 0.0:
-            return np.ones_like(self.wgrid)
-        k = s / (self.t / self.K)
-        k0 = min(int(math.floor(k)), self.K - 1)
-        frac = k - k0
-        return (1 - frac) * self.G2[k0] + frac * self.G2[k0 + 1]
-
-    def _march(self, n_theta: int = 33):
-        K = self.K
-        self.G2 = np.ones((K + 1, self.wgrid.size))
-        thetas, simp = _simpson_theta(n_theta)
-        for k in range(1, K + 1):
-            tk = self.slevels[k]
-            pref = math.sqrt(tk / math.pi)
-            acc = np.zeros(self.wgrid.size)
-            w_implicit = 0.0
-            for th, wq in zip(thetas, simp):
-                s = tk * math.sin(th) ** 2
-                var = s * (tk - s) / (2.0 * tk)
-                if s >= self.slevels[k] - 1e-15:
-                    # endpoint touches the unknown level; it enters linearly
-                    w_implicit += wq
-                    continue
-                mu = (s / tk) * self.wgrid
-                acc += wq * self._gauss_avg(self._interp_level(s), mu, var)
-            self.G2[k] = (1.0 + pref * acc) / (1.0 - pref * w_implicit)
-
-    def second_moment_ratio(self, z: float) -> float:
-        """G2(t, z) = E[Z(t,z)^2] / p_t(z)^2."""
-        return float(np.interp(z, self.wgrid, self.G2[-1]))
-
-    def pair_ratio(self, x: float, y: float) -> float:
-        """f(t,x,y) / (p_t(x) p_t(y)), symmetric in (x, y) by construction."""
-        t = self.t
-        half = (x + y) / 2.0
-        diff = abs(x - y)
-        thetas, simp = _simpson_theta(129)
-        total = 0.0
-        for th, wq in zip(thetas, simp):
-            s = t * math.sin(th) ** 2
-            # ds p_{2s(t-s)/t}((s/t) diff) = sqrt(t/pi) e^{-(diff^2/4t) tan^2} dtheta
-            expo = -(diff * diff / (4.0 * t)) * math.tan(th) ** 2
-            gauss = math.sqrt(t / math.pi) * (math.exp(expo) if expo > -745.0 else 0.0)
-            if gauss == 0.0:
-                continue
-            var = s * (t - s) / (2.0 * t)
-            mu = np.array([(s / t) * half])
-            avg = float(self._gauss_avg(self._interp_level(min(s, t)), mu, var)[0])
-            total += wq * gauss * avg
-        return 1.0 + total
-
-    def pair_moment(self, x: float, y: float) -> float:
-        """E[Z(t,x) Z(t,y)]."""
-        return float(np.exp(log_heat_kernel(self.t, x) + log_heat_kernel(self.t, y))
-                     * self.pair_ratio(x, y))
-
-    __call__ = pair_moment
-
-
-def second_moment_volterra(t: float, time_levels: int = 96,
-                           rel_tol: float = 0.01) -> VolterraSecondMoment:
-    """Build the Volterra oracle and certify it by grid self-convergence.
-
-    Marches at `time_levels` and at half resolution; if the relative change
-    of E[Z(t,0)^2]/p_t(0)^2 exceeds rel_tol, refuses with diagnostics.
-    Restricted to t <= 1 (cost grows with t).
-    """
-    if not 0 < t <= 1.0:
-        raise ValueError("oracle supports 0 < t <= 1")
-    if time_levels < 16:
-        raise ValueError("need at least 16 time levels")
-    # the diagonal ratio is flat in w (the reduced equation preserves the
-    # shear invariance of the ratio field), so a modest w grid suffices
-    w_half = 6.0 * math.sqrt(t)
-    dw = math.sqrt(t) / 16.0
-    fine = VolterraSecondMoment(t, time_levels, w_half, dw)
-    coarse = VolterraSecondMoment(t, time_levels // 2, w_half, dw * 2)
-    a, b = fine.second_moment_ratio(0.0), coarse.second_moment_ratio(0.0)
-    drift = abs(a - b) / abs(a)
-    if drift > rel_tol:
-        raise ResolutionError(
-            f"self-convergence {drift:.3%} exceeds {rel_tol:.1%} at "
-            f"time_levels={time_levels} (fine {a:.6f} vs coarse {b:.6f}); "
-            "increase time_levels")
-    fine.self_convergence = drift
-    return fine
+    if t <= 0:
+        raise ValueError("t must be positive")
+    a = (abs(x - y) - t) / (2.0 * math.sqrt(t))
+    return 1.0 + 0.5 * math.sqrt(math.pi * t) * float(erfcx(a))

@@ -37,6 +37,9 @@ __all__ = [
 
 _DECORRELATION_LENGTH = 1.0
 
+# fewest samples ks_normality accepts: below it the test is underpowered
+KS_MIN_SAMPLES = 50
+
 
 def mean_se(values):
     """Mean and standard error std(ddof=1)/sqrt(m) over the m rows (axis 0)."""
@@ -185,13 +188,13 @@ def spatial_averages(rows, positions, dx: float, N: float) -> np.ndarray:
 def ks_normality(samples, significance: float = 0.001) -> TestReport:
     """Kolmogorov-Smirnov test of standardized samples against N(0,1).
 
-    Standardization uses the sample mean/SD.  Fewer than 50 samples raises
+    Standardization uses the sample mean/SD.  Fewer than KS_MIN_SAMPLES raises
     (underpowered); constant input reports a degenerate rejection with
     statistic 0.5.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < 50:
-        raise ValueError("ks_normality needs at least 50 samples")
+    if x.size < KS_MIN_SAMPLES:
+        raise ValueError(f"ks_normality needs at least {KS_MIN_SAMPLES} samples")
     sd = x.std(ddof=1)
     if sd == 0.0:
         return TestReport(name="ks_normality", statistic=0.5, p_value=0.0,

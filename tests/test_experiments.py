@@ -6,7 +6,8 @@ import pytest
 
 from shelab.cli import main as cli_main
 from shelab.experiments import (ConfigError, ExperimentConfig, FitDecayResult,
-                                fit_decay, run, write_csv)
+                                _gbar, fit_decay, run, write_csv)
+from shelab.kernels import log_heat_kernel
 from shelab.stats import CovarianceEstimate
 
 
@@ -61,8 +62,11 @@ def _tiny_diag_cfg(**over):
     (dict(gbar_probe={"x": 9.5}), "8 sqrt"),                      # truncation at the probe
     (dict(holder_s_values=[0.01, 2.0]), "8 sqrt"),                # truncation at the latest s
     (dict(holder_s_values=[0.01, 0.01]), "distinct"),             # one-point exponent fit
-    (dict(gbar_probe={"t": 1.5}), "domain"),                      # Volterra oracle needs t <= 1
-    (dict(gbar_probe={"volterra_levels": 8}), "domain"),          # ... and >= 16 time levels
+    (dict(gbar_probe={"t": 0.01, "x": 3.0}), "noise cone"),       # Z(0.01, 3) is exactly 0
+    # Z(0.01, x) is exactly 0 for |x| > 2.2 (2 steps of 11 cells) and 1/p_t
+    # overflows there: this config used to write NaN first-moment rows
+    (dict(half_width=6.0, times=[0.01], first_moment_xmax=4.0, holder_s_values=[],
+          gbar_probe={}), "first_moment_xmax 4 lies outside the noise cone"),
     (dict(first_moment_xmax=-1.0), "first_moment_xmax"),          # empty first-moment window
     (dict(gbar_probe={"tt": 0.3}), "unknown key 'tt'"),           # would run the default t
 ])
@@ -71,6 +75,24 @@ def test_validation_rejects_diagnostics_probes(over, needle):
     with pytest.raises(ConfigError) as err:
         _tiny_diag_cfg(**over).validate()
     assert any(needle in v for v in err.value.violations)
+
+
+def test_validation_accepts_any_gbar_probe_time_and_levels():
+    # the closed-form second-moment oracle has no t or volterra_levels domain
+    _tiny_diag_cfg(gbar_probe={"t": 1.2, "volterra_levels": 8}).validate()
+
+
+def test_gbar_is_zero_on_a_zero_cell():
+    t = 0.01
+    x = np.array([4.0, 0.0, 0.3])
+    Z = np.array([[0.0, 2.0, 0.7], [1.5, 0.0, 3.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _gbar(Z, t, x)
+        plain = Z * np.exp(-log_heat_kernel(t, x))     # 0 * inf = NaN at x = 4
+    assert np.isnan(plain[0, 0])
+    assert g[0, 0] == 0.0 and g[1, 1] == 0.0
+    pos = Z > 0
+    assert np.array_equal(g[pos], plain[pos])
 
 
 def _tiny_shift_cfg(**over):
@@ -83,7 +105,7 @@ def _tiny_shift_cfg(**over):
 
 def _tiny_clt_cfg(**over):
     base = dict(kind="clt", master_seed=3, dx=0.1, half_width=20.0, times=[0.5],
-                n_values=[5.0, 10.0], replicates=8, calibration_replicates=2,
+                n_values=[5.0, 10.0], replicates=50, calibration_replicates=2,
                 workers=1)
     base.update(over)
     return ExperimentConfig(**base)
@@ -111,6 +133,7 @@ def _tiny_fdd_cfg(**over):
     (_tiny_shift_cfg, dict(shift_probes=[[1.0]]), "two numbers"),
     (_tiny_shift_cfg, dict(shift_probes=[[1.0, 0.5], 1.0]), "two numbers"),
     (_tiny_fdd_cfg, dict(n_values=[5.0, 10.0]), "fdd reads one N"),  # would use the first
+    (_tiny_clt_cfg, dict(replicates=10), "replicates >= 50"),      # KS would raise after the run
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     make().validate()

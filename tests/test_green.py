@@ -7,7 +7,7 @@ from shelab.green import (ShiftIdentityCheck, estimate_g, evolve_shared,
                           shift_identity_samples)
 from shelab.kernels import heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise
-from shelab.sim import GridSpec, evolve, heat_step, init_dirac
+from shelab.sim import GridSpec, default_grid, evolve, heat_step, init_dirac
 
 
 @pytest.fixture
@@ -162,6 +162,14 @@ def test_shift_samples_reject_z_plus_y_outside_grid():
     grid = GridSpec(dx=0.1, half_width=3.0, dt=0.005)
     with pytest.raises(ValueError, match="leaves the grid"):
         shift_identity_samples(grid, range(2), 0.4, 0.2, 2.0, 0.5, master_seed=1)
+
+
+def test_shift_samples_reject_a_cut_z_window():
+    # the z-window is centred at z = (s/t) x - y = 7.5, past the edge at 7:
+    # z + y stays on the grid, but only 0.089 of the window's mass does
+    grid = default_grid(0.05, 7.0)
+    with pytest.raises(ValueError, match="z-window"):
+        shift_identity_samples(grid, range(20), 0.5, 0.25, 4.0, -5.5, master_seed=1)
 
 
 def test_shift_samples_match_public_passes(grid):

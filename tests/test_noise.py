@@ -36,16 +36,14 @@ def test_prefix_stability():
 
 
 def test_pooled_moments():
-    s = NoiseStream(123, 0)
-    pool = np.concatenate([s.replicate(r).normals(0, 10_000) for r in range(100)])
+    pool = np.concatenate([NoiseStream(123, r).normals(0, 10_000) for r in range(100)])
     assert pool.size == 1_000_000
     assert abs(pool.mean()) <= 0.01
     assert 0.99 <= pool.var() <= 1.01
 
 
 def test_ks_against_standard_normal():
-    s = NoiseStream(2024, 0)
-    x = np.concatenate([s.replicate(r).normals(0, 10_000) for r in range(10)])
+    x = np.concatenate([NoiseStream(2024, r).normals(0, 10_000) for r in range(10)])
     res = sps.kstest(x, "norm")
     assert res.pvalue > 1e-3
 
@@ -54,9 +52,8 @@ def test_slice_mean_diagnostic():
     # diagnostic bound: |mean of a slice of length n| <= 6/sqrt(n) holds for
     # every slice in a large sample (violation probability ~ 2e-9 each)
     n = 10_000
-    s = NoiseStream(55, 0)
     for rep in range(200):
-        m = abs(s.replicate(rep).normals(0, n).mean())
+        m = abs(NoiseStream(55, rep).normals(0, n).mean())
         assert m <= 6.0 / np.sqrt(n)
 
 
@@ -94,7 +91,6 @@ def test_normals_match_the_documented_map(seed, rep, step, n):
 def test_zero_noise_hook():
     z = ZeroNoise()
     assert np.all(z.normals(4, 16) == 0.0)
-    assert z.replicate(5) is z
 
 
 def test_validation():

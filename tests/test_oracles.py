@@ -5,11 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc, exp1
 
-from shelab.oracles import (ResolutionError, _cos_gauss_primitive,
-                            _twotime_inner, _twotime_inner_numeric, lemma_2,
-                            lemma_s0, lemma_twotime, lemma_y,
-                            limiting_constant, reduced_cov_integral,
-                            second_moment_volterra)
+from shelab.oracles import (_cos_gauss_primitive, _twotime_inner,
+                            _twotime_inner_numeric, lemma_2, lemma_s0,
+                            lemma_twotime, lemma_y, limiting_constant,
+                            reduced_cov_integral, second_moment_volterra)
 
 
 def test_limiting_constant_is_two_for_all_t():
@@ -175,41 +174,55 @@ def test_oracle_preconditions():
             fn(0.0, 1.0, 100.0)
 
 
-def test_volterra_matches_closed_form_pair_moment():
-    # independent reference: the delta-interaction pair propagator
+def _delta_bose_pair_moment(t, x, y):
+    # the delta-interaction pair propagator (Bertini & Cancrini 1995)
     # E[Z(t,x) Z(t,y)] = p_{t/2}((x+y)/2) [ p_{2t}(x-y)
     #     + (1/4) e^{t/4 - |x-y|/2} erfc((|x-y| - t)/(2 sqrt t)) ]
-    def closed(t, x, y):
-        u = abs(x - y)
-        v = (x + y) / 2
-        K = (math.exp(-u * u / (4 * t)) / math.sqrt(4 * math.pi * t)
-             + 0.25 * math.exp(t / 4 - u / 2) * erfc((u - t) / (2 * math.sqrt(t))))
-        return math.exp(-v * v / t) / math.sqrt(math.pi * t) * K
+    u = abs(x - y)
+    v = (x + y) / 2
+    K = (math.exp(-u * u / (4 * t)) / math.sqrt(4 * math.pi * t)
+         + 0.25 * math.exp(t / 4 - u / 2) * erfc((u - t) / (2 * math.sqrt(t))))
+    return math.exp(-v * v / t) / math.sqrt(math.pi * t) * K
 
-    oracle = second_moment_volterra(0.5, time_levels=96)
-    assert oracle.self_convergence <= 0.01
-    for (x, y) in [(0.0, 0.0), (0.5, 0.0), (0.5, -0.5), (1.0, 0.3)]:
-        got = oracle.pair_moment(x, y)
-        ref = closed(0.5, x, y)
-        assert got == pytest.approx(ref, rel=0.025)
+
+def test_volterra_matches_closed_form_pair_moment():
+    def p(t, x):
+        return math.exp(-x * x / (2 * t)) / math.sqrt(2 * math.pi * t)
+
+    for t in (0.05, 0.5, 1.0, 3.0):
+        for (x, y) in [(0.0, 0.0), (0.5, 0.0), (0.5, -0.5), (1.0, 0.3), (-2.0, 1.0)]:
+            ref = _delta_bose_pair_moment(t, x, y) / (p(t, x) * p(t, y))
+            assert second_moment_volterra(t, x, y) == pytest.approx(ref, rel=1e-12)
 
 
 def test_volterra_symmetry_and_small_t_limit():
-    oracle = second_moment_volterra(0.5, time_levels=96)
-    assert oracle.pair_ratio(0.4, -0.1) == pytest.approx(
-        oracle.pair_ratio(-0.1, 0.4), rel=1e-12)
-    ratios = [second_moment_volterra(t, time_levels=96).second_moment_ratio(0.0)
-              for t in (0.4, 0.2, 0.1, 0.05)]
+    assert second_moment_volterra(0.5, 0.4, -0.1) == second_moment_volterra(0.5, -0.1, 0.4)
+    ratios = [second_moment_volterra(t, 0.0, 0.0) for t in (0.4, 0.2, 0.1, 0.05)]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, abs=0.35)
-    drift = [abs(r - 1.0) for r in ratios]
-    assert all(b < a for a, b in zip(drift, drift[1:]))
 
 
-def test_volterra_refuses_on_coarse_grid_and_bad_t():
-    with pytest.raises(ResolutionError):
-        second_moment_volterra(0.5, time_levels=16)
-    with pytest.raises(ValueError):
-        second_moment_volterra(1.5)
-    with pytest.raises(ValueError):
-        second_moment_volterra(0.5, time_levels=8)
+@pytest.mark.parametrize("t, x, y", [
+    (0.5, 0.0, 0.0), (0.5, 0.5, -0.5), (1.0, 1.0, 0.3), (2.0, 3.0, -1.0),
+    (0.1, 0.2, 0.0), (4.0, 0.0, 0.0), (1.0, 10.0, 0.0),
+])
+def test_volterra_solves_the_mild_form_equation(t, x, y):
+    # ratio(t,x,y) = 1 + int_0^t p_{2s(t-s)/t}((s/t)|x-y|) ratio(s,0,0) ds,
+    # with the s^{-1/2} (t-s)^{-1/2} endpoint factors of the kernel handed to
+    # quad as its algebraic weight
+    u = abs(x - y)
+
+    def f(s):
+        ratio_s = second_moment_volterra(s, 0.0, 0.0) if s > 0 else 1.0
+        gauss = math.exp(-s * u * u / (4 * t * (t - s))) if s < t else float(u == 0)
+        return math.sqrt(t / (4 * math.pi)) * gauss * ratio_s
+
+    integral = quad(f, 0.0, t, weight="alg", wvar=(-0.5, -0.5),
+                    epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    assert second_moment_volterra(t, x, y) == pytest.approx(1.0 + integral, rel=1e-10)
+
+
+def test_volterra_rejects_nonpositive_t():
+    for t in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            second_moment_volterra(t, 0.0, 0.0)
