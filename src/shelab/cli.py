@@ -11,7 +11,8 @@ Subcommands mirror the experiment kinds:
     shelab diagnostics  ...
     shelab report       --out DIR     (pretty-print an existing run report)
 
-The config file is JSON with the fields of ExperimentConfig; command-line
+The config file is JSON with the fields of ExperimentConfig; its `kind` may
+be left out, and must otherwise match the subcommand.  Command-line
 --seed/--workers/--out override the file.  Every run echoes its full config
 into report.json next to the CSV tables.
 """
@@ -72,18 +73,18 @@ def main(argv=None) -> int:
         with open(f"{args.out}/report.json") as fh:
             _print_report(json.load(fh))
         return 0
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig(kind=_KIND_BY_COMMAND[args.command])
-    cfg.kind = _KIND_BY_COMMAND[args.command]
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.out is not None:
-        cfg.out_dir = args.out
+    kind = _KIND_BY_COMMAND[args.command]
     try:
+        if args.config:
+            cfg = ExperimentConfig.from_json(args.config, kind=kind)
+        else:
+            cfg = ExperimentConfig(kind=kind)
+        if args.seed is not None:
+            cfg.master_seed = args.seed
+        if args.workers is not None:
+            cfg.workers = args.workers
+        if args.out is not None:
+            cfg.out_dir = args.out
         report = run(cfg)
     except ConfigError as e:
         print(str(e), file=sys.stderr)

@@ -272,9 +272,16 @@ class ExperimentConfig:
         return cls(**d)
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
+    def from_json(cls, path, kind: str) -> "ExperimentConfig":
+        """A `kind` config from a JSON file, which may leave its kind out but
+        may not name another one."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ConfigError([f"{path}: a config file holds one JSON object"])
+        if d.get("kind", kind) != kind:
+            raise ConfigError([f"{path} is a {d['kind']!r} config, not {kind!r}"])
+        return cls.from_dict({**d, "kind": kind})
 
 
 def _is_integer(v) -> bool:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import convolve1d
 
+from . import noise
 from .kernels import heat_kernel
 from .noise import NoiseStream, _FastNormals
 from .sim import GridSpec, heat_step_weights, noise_factors
@@ -210,9 +211,13 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     starts = [(0, i0), (ks, iy)]        # row 0: source (0,0); row 1: (s,y)
     lhs_vals, rhs_vals = [], []
     dropped = 0
+    words = np.empty((kt, n), dtype=np.uint64)
+    factors = np.empty((kt, n))         # row k: the noise factors of step k
     for rep in replicate_ids:
-        factors = noise_factors(
-            grid, np.vstack([rng.normals_block([rep], k, n) for k in range(kt)]))
+        for k in range(kt):
+            rng.fill_u53(words[k], rep, k)
+        noise._uniforms_to_normals(words, out=factors)
+        noise_factors(grid, factors, out=factors)
         F = _forward(grid, np.zeros((2, n)), starts, factors.__getitem__, 0, ks)
         zs = F[0, zy]                                    # Z_s(z + y)
         F = _forward(grid, F, starts, factors.__getitem__, ks, kt)

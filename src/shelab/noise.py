@@ -29,9 +29,16 @@ __all__ = ["NoiseStream", "ZeroNoise"]
 _INV53 = 2.0 ** -53
 
 
-def _uniforms_to_normals(u53):
+def _uniforms_to_normals(u53, out=None):
+    """Normals of the 53-bit integers u53, into `out` (float64, u53's shape)
+    when given: the same operations as ndtri((u53 + 0.5) * 2^-53) in place."""
     # (k + 1/2) * 2^-53 lies strictly inside (0, 1): ndtri never hits +-inf
-    return ndtri((u53.astype(np.float64) + 0.5) * _INV53)
+    if out is None:
+        out = np.empty(u53.shape)
+    np.copyto(out, u53, casting="unsafe")
+    out += 0.5
+    out *= _INV53
+    return ndtri(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,7 @@ class _FastNormals:
         self.master_seed = master_seed
         self._bg = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
         self._state = self._bg.state
+        self._words = np.empty((0, 0), dtype=np.uint64)  # reused by normals_block
 
     def fill_u53(self, out, replicate_id: int, step_index: int):
         st = self._state
@@ -94,9 +102,15 @@ class _FastNormals:
         self._bg.state = st
         np.right_shift(self._bg.random_raw(out.size), 11, out=out)
 
-    def normals_block(self, replicate_ids, step_index: int, cell_count: int):
-        """(len(replicate_ids), cell_count) matrix of normals for one step."""
-        u = np.empty((len(replicate_ids), cell_count), dtype=np.uint64)
+    def normals_block(self, replicate_ids, step_index: int, cell_count: int,
+                      out=None):
+        """(len(replicate_ids), cell_count) matrix of normals for one step,
+        written into `out` when given.  The word block is kept between calls
+        of the same shape."""
+        shape = (len(replicate_ids), cell_count)
+        if self._words.shape != shape:
+            self._words = np.empty(shape, dtype=np.uint64)
+        u = self._words
         for i, rid in enumerate(replicate_ids):
             self.fill_u53(u[i], rid, step_index)
-        return _uniforms_to_normals(u)
+        return _uniforms_to_normals(u, out=out)

@@ -334,3 +334,27 @@ def test_cli_invalid_config_lists_violations(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "replicates" in err and "times" in err
+
+
+@pytest.mark.parametrize("body, message", [
+    (dict(kind="clt", boundary="dirichlet"), "unknown config field 'boundary'"),
+    (dict(kind="covariance"), "is a 'covariance' config, not 'clt'"),
+    ([{"kind": "clt"}], "a config file holds one JSON object"),
+])
+def test_cli_config_file_errors_exit_2(tmp_path, capsys, body, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(body))
+    rc = cli_main(["clt", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_config_file_takes_kind_from_subcommand(tmp_path, capsys):
+    # a file without `kind` is read as the subcommand's kind
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(replicates=0)))
+    rc = cli_main(["clt", "--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid experiment config" in err and "replicates" in err

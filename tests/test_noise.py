@@ -3,7 +3,9 @@ import pytest
 from scipy import stats as sps
 from scipy.special import ndtri
 
-from shelab.noise import NoiseStream, ZeroNoise, _FastNormals
+from shelab.green import shift_identity_samples
+from shelab.noise import NoiseStream, ZeroNoise, _FastNormals, _uniforms_to_normals
+from shelab.sim import default_grid, noise_factors
 
 
 def test_normals_deterministic():
@@ -86,6 +88,43 @@ def test_normals_match_the_documented_map(seed, rep, step, n):
     ref = ndtri((k + 0.5) * 2.0 ** -53)
     assert np.array_equal(NoiseStream(seed, rep).normals(step, n), ref)
     assert np.array_equal(_FastNormals(seed).normals_block([rep], step, n)[0], ref)
+
+
+def test_out_paths_match_the_allocating_forms():
+    u = np.random.Philox(key=np.array([3, 1], dtype=np.uint64)).random_raw((4, 301)) >> 11
+    u[0, :2] = [0, 2 ** 53 - 1]              # both ends of the 53-bit lattice
+    buf = np.empty(u.shape)
+    got = _uniforms_to_normals(u, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, ndtri((u.astype(np.float64) + 0.5) * 2.0 ** -53))
+    g = default_grid(0.05, 7.0)
+    ref = np.exp(np.sqrt(g.dt / g.dx) * buf - g.dt / (2 * g.dx))
+    assert np.array_equal(noise_factors(g, buf.copy()), ref)
+    assert noise_factors(g, buf, out=buf) is buf
+    assert np.array_equal(buf, ref)
+
+
+def test_shift_draw_matches_the_public_stream(monkeypatch):
+    # shift_identity_samples draws one replicate's (kt, n) block at once;
+    # each of its rows is that replicate's NoiseStream row of the same step
+    import shelab.noise
+    g = default_grid(0.05, 7.0)
+    kt = g.step_of(0.05)
+    refs = [np.stack([NoiseStream(21, rep).normals(k, g.cell_count) for k in range(kt)])
+            for rep in (4, 9)]
+    seen = []
+    real = shelab.noise._uniforms_to_normals
+
+    def spy(u53, out=None):
+        seen.append(real(u53, out=out).copy())
+        return out
+
+    monkeypatch.setattr(shelab.noise, "_uniforms_to_normals", spy)
+    shift_identity_samples(g, [4, 9], 0.05, 0.025, 0.0, 0.0, master_seed=21)
+    assert len(seen) == 2
+    for block, ref in zip(seen, refs):
+        assert block.shape == (kt, g.cell_count)
+        assert np.array_equal(block, ref)
 
 
 def test_zero_noise_hook():

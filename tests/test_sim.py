@@ -5,9 +5,9 @@ import pytest
 
 from shelab.kernels import heat_kernel, log_heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise
-from shelab.sim import (Field, GridSpec, _BatchEngine, default_grid, evolve,
-                        heat_step, heat_step_weights, height_residual,
-                        init_dirac, noise_step)
+from shelab.sim import (Field, GridSpec, _BatchEngine, default_grid,
+                        discrete_kernel_log, evolve, heat_step, heat_step_weights,
+                        height_residual, init_dirac, noise_step)
 
 
 def test_gridspec_basics():
@@ -214,6 +214,40 @@ def test_relative_engine_log_z_pinned():
     assert lz.shape == (3, g.cell_count) and np.isfinite(lz).all()
     assert hashlib.sha256(lz.tobytes()).hexdigest() == (
         "d3d7f4949df53f623a5b857508936c4830d17479e94d77b7720c452efb995705")
+
+
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_batch_engine_rows_do_not_depend_on_run_split(mode):
+    # rows 0..39 in one run, and in runs of 1 and of 17 rows (17 leaves a
+    # remainder after the relative tap loop's row blocks); the reused state
+    # buffers must neither leak between steps nor alias the stored copies
+    g = default_grid(0.1, 6.0)
+    early, late = 2, g.step_of(0.1)      # the noise cone is partial at `early`
+    ids = list(range(40))
+
+    def rows_of(size):
+        out = {early: {}, late: {}}
+
+        def consume(k, reps, block):
+            out[k].update({r: block[i].copy() for i, r in enumerate(reps)})
+
+        for i in range(0, len(ids), size):
+            _BatchEngine(g, 8, mode=mode).run(ids[i:i + size], [early, late], consume)
+        return {k: np.stack([rows[r] for r in ids]) for k, rows in out.items()}
+
+    whole = rows_of(len(ids))
+    for size in (1, 17):
+        split = rows_of(size)
+        for k in (early, late):
+            assert np.array_equal(split[k], whole[k])
+    assert not np.array_equal(whole[early], whole[late])
+    cone = discrete_kernel_log(g, early) > -1.0e30 / 2
+    assert 0 < cone.sum() < g.cell_count
+    outside = -np.inf if mode == "relative" else 0.0
+    assert np.all(whole[early][:, ~cone] == outside)
+    assert np.all(np.isfinite(whole[early][:, cone]))
+    if mode == "absolute":
+        assert np.all(whole[early][:, cone] > 0.0)
 
 
 def test_relative_mode_mean_one_far_field():
