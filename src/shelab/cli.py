@@ -70,8 +70,17 @@ def _print_report(report_dict):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "report":
-        with open(f"{args.out}/report.json") as fh:
-            _print_report(json.load(fh))
+        path = f"{args.out}/report.json"
+        try:
+            with open(path) as fh:
+                report_dict = json.load(fh)
+        except OSError as e:
+            print(f"{path}: cannot read the run report: {e.strerror}", file=sys.stderr)
+            return 2
+        except json.JSONDecodeError as e:
+            print(f"{path}: not valid JSON: {e}", file=sys.stderr)
+            return 2
+        _print_report(report_dict)
         return 0
     kind = _KIND_BY_COMMAND[args.command]
     try:

@@ -275,8 +275,14 @@ class ExperimentConfig:
     def from_json(cls, path, kind: str) -> "ExperimentConfig":
         """A `kind` config from a JSON file, which may leave its kind out but
         may not name another one."""
-        with open(path) as fh:
-            d = json.load(fh)
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+        except OSError as e:
+            raise ConfigError(
+                [f"{path}: cannot read the config file: {e.strerror}"]) from None
+        except json.JSONDecodeError as e:
+            raise ConfigError([f"{path}: not valid JSON: {e}"]) from None
         if not isinstance(d, dict):
             raise ConfigError([f"{path}: a config file holds one JSON object"])
         if d.get("kind", kind) != kind:

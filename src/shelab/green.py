@@ -13,6 +13,13 @@ Two propagation directions are used:
     probe cell yields G(t, x_probe; s, z) for *every* source position z at
     once.  That is what makes the z-integral of the shift identity a single
     dx-weighted grid sum instead of one simulation per grid cell.
+
+Each pass writes into two buffers allocated once per pass: the heat step
+convolves into the spare one (convolve1d(output=)), the two swap, and the
+noise factors multiply in place.  The forward pass overwrites the `fields`
+it is given; the adjoint pass copies its input row once and leaves it as
+it was.  The operations and their order are those of the allocating form,
+so every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -97,14 +104,17 @@ def _forward(grid, fields, starts, factors, k0, k1):
     Row i receives its Dirac mass 1/dx at cell starts[i][1] just before step
     starts[i][0]; rows not yet activated are identically zero, and both the
     heat step and the noise step fix zero.  Every row takes the same noise
-    factors(k) at step k.
+    factors(k) at step k.  `fields` is overwritten: the steps alternate
+    between it and one spare buffer, and the result is either of the two.
     """
     w = heat_step_weights(grid.dx, grid.dt)
+    spare = np.empty_like(fields)
     for k in range(k0, k1):
         for i, (ks, iy) in enumerate(starts):
             if ks == k:
                 fields[i, iy] = 1.0 / grid.dx
-        fields = convolve1d(fields, w, axis=1, mode="constant", cval=0.0)
+        convolve1d(fields, w, axis=1, output=spare, mode="constant", cval=0.0)
+        fields, spare = spare, fields
         fields *= factors(k)[None, :]
     return fields
 
@@ -114,12 +124,16 @@ def _adjoint(grid, v, factors, k0, k1):
 
     The forward propagator over those steps is M = prod_k (N_k C) with C
     the symmetric heat convolution and N_k the diagonal noise factors, so
-    M^T v is one backward sweep: multiply by N_k, then convolve.
+    M^T v is one backward sweep: multiply by N_k, then convolve.  The sweep
+    runs in a copy of v and one spare buffer; v itself is left unchanged.
     """
     w = heat_step_weights(grid.dx, grid.dt)
+    v = v.copy()
+    spare = np.empty_like(v)
     for k in range(k1 - 1, k0 - 1, -1):
-        v = v * factors(k)
-        v = convolve1d(v, w, mode="constant", cval=0.0)
+        v *= factors(k)
+        convolve1d(v, w, output=spare, mode="constant", cval=0.0)
+        v, spare = spare, v
     return v
 
 
@@ -213,6 +227,8 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     dropped = 0
     words = np.empty((kt, n), dtype=np.uint64)
     factors = np.empty((kt, n))         # row k: the noise factors of step k
+    e0 = np.zeros(n)                    # the adjoint's start row, at x = 0
+    e0[i0] = 1.0
     for rep in replicate_ids:
         for k in range(kt):
             rng.fill_u53(words[k], rep, k)
@@ -223,9 +239,7 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
         F = _forward(grid, F, starts, factors.__getitem__, ks, kt)
         den = F[0, ix]
         num = F[1, ix]
-        v = np.zeros(n)
-        v[i0] = 1.0
-        row = _adjoint(grid, v, factors.__getitem__, ks, kt) / grid.dx
+        row = _adjoint(grid, e0, factors.__getitem__, ks, kt) / grid.dx
         gb_t = row[keep] / p_ts_z
         gb_s = zs / p_s_zy
         denom = float((w_gauss[keep] * gb_t * gb_s).sum() * grid.dx)

@@ -22,8 +22,9 @@ The batch engine's step keeps the bits of the plain step above while it
   * allocates its buffers once per run and writes each step into them,
   * runs the kernel-relative tap loop over blocks of _ROW_BLOCK replicate
     rows, so a block stays in cache, and
-  * restricts the taps to the noise cone, the cells the kernel has reached:
-    outside it every term is exactly +0.0, so each sum keeps its bits.
+  * restricts the taps and the noise multiply to the noise cone, the cells
+    the kernel has reached: outside it every term is exactly +0.0, so each
+    sum keeps its bits.
 """
 
 from __future__ import annotations
@@ -316,12 +317,13 @@ class _BatchEngine:
         return logK1, stack
 
     def _relative_heat_step(self, V, logK, out, scratch):
-        """One heat step of V = Z dx / K_k into `out`; returns log K_{k+1}.
+        """One heat step of V = Z dx / K_k into `out`; returns log K_{k+1}
+        and its live cells [lo, hi), one contiguous run.
 
-        Only the live cells [lo, hi) of K_{k+1}, one contiguous run, are
-        written, so `out` must hold 0 outside them.  Outside the cone V and
-        the tap weights are exactly 0: the dropped terms are +0.0, and every
-        live cell still sums all its taps in tap order, to the same bits.
+        Only the live cells are written, so `out` must hold 0 outside them.
+        Outside the cone V and the tap weights are exactly 0: the dropped
+        terms are +0.0, and every live cell still sums all its taps in tap
+        order, to the same bits.
         The taps run over blocks of _ROW_BLOCK rows through `scratch`
         (_ROW_BLOCK * n floats), so a block's rows stay in cache.
         """
@@ -348,7 +350,7 @@ class _BatchEngine:
                 np.multiply(weights, Vr[:, src], out=prod)
                 acc = Wr[:, dst]
                 acc += prod
-        return logK1
+        return logK1, lo, hi
 
     def run(self, replicate_ids, checkpoint_steps, consume):
         """Evolve the block and hand each checkpoint to `consume`.
@@ -382,12 +384,15 @@ class _BatchEngine:
             X[:, i0] = 1.0 / self.grid.dx
         for k in range(max(checkpoint_steps)):
             if relative:
-                logK = self._relative_heat_step(X, logK, Y, scratch)
+                logK, lo, hi = self._relative_heat_step(X, logK, Y, scratch)
             else:
                 convolve1d(X, self.w, axis=1, output=Y, mode="constant", cval=0.0)
+                lo, hi = 0, self.n
             X, Y = Y, X
             self.rng.normals_block(reps, k, self.n, out=xi)
-            X *= noise_factors(self.grid, xi, out=xi)
+            # X is exactly 0 outside [lo, hi), so only that range is multiplied
+            Xl, xl = X[:, lo:hi], xi[:, lo:hi]
+            Xl *= noise_factors(self.grid, xl, out=xl)
             if k + 1 in want:
                 block = X
                 if relative:

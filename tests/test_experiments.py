@@ -350,6 +350,21 @@ def test_cli_config_file_errors_exit_2(tmp_path, capsys, body, message):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["clt", "--config", "{dir}/bad.json"], "not valid JSON"),
+    (["clt", "--config", "{dir}/missing.json"], "cannot read the config file"),
+    (["report", "--out", "{dir}"], "cannot read the run report"),
+])
+def test_cli_unreadable_input_exits_2(tmp_path, capsys, argv, message):
+    # a malformed config, a missing config and a run directory without a
+    # report each print one message, with no traceback
+    (tmp_path / "bad.json").write_text('{"kind": "clt",')
+    rc = cli_main([a.format(dir=tmp_path) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_cli_config_file_takes_kind_from_subcommand(tmp_path, capsys):
     # a file without `kind` is read as the subcommand's kind
     cfg_path = tmp_path / "cfg.json"

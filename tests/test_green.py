@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from shelab.experiments import _gbar
-from shelab.green import (ShiftIdentityCheck, estimate_g, evolve_shared,
-                          green_row_adjoint, moment_estimate,
+from shelab.green import (ShiftIdentityCheck, _adjoint, _forward, estimate_g,
+                          evolve_shared, green_row_adjoint, moment_estimate,
                           shift_identity_samples)
 from shelab.kernels import heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise
@@ -30,10 +32,11 @@ def test_duplicate_sources_bit_identical(grid):
 
 def test_joint_vs_separate_evolution_identical(grid):
     stream = NoiseStream(13, 1)
-    joint = evolve_shared(grid, stream, [(0.0, 0.0), (0.1, 0.5)], 0.3)
     solo0 = evolve_shared(grid, stream, [(0.0, 0.0)], 0.3)
-    solo1 = evolve_shared(grid, stream, [(0.1, 0.5)], 0.3)
-    assert np.array_equal(joint, np.vstack([solo0, solo1]))
+    for s in (0.1, 0.105):          # source step even and odd
+        joint = evolve_shared(grid, stream, [(0.0, 0.0), (s, 0.5)], 0.3)
+        solo1 = evolve_shared(grid, stream, [(s, 0.5)], 0.3)
+        assert np.array_equal(joint, np.vstack([solo0, solo1]))
 
 
 def test_source_validation(grid):
@@ -66,6 +69,26 @@ def test_adjoint_row_equals_forward_probes(grid):
         a = row[grid.index_of(y)]
         b = fwd[grid.index_of(0.7)]
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_passes_leave_callers_arrays_unchanged(grid):
+    # the passes work in their own buffers: neither the adjoint's input row
+    # nor the noise-factor table is written, and repeated calls agree
+    rng = np.random.default_rng(0)
+    table = rng.uniform(0.5, 1.5, (grid.step_of(0.2), grid.cell_count))
+    table_copy = table.copy()
+    v = rng.uniform(0.0, 1.0, grid.cell_count)
+    v_copy = v.copy()
+    out = _adjoint(grid, v, table.__getitem__, 3, len(table))
+    assert np.array_equal(v, v_copy) and not np.shares_memory(out, v)
+    assert np.array_equal(_adjoint(grid, v, table.__getitem__, 3, len(table)), out)
+    _forward(grid, np.zeros((2, grid.cell_count)),
+             [(0, grid.origin_index), (5, grid.index_of(0.5))],
+             table.__getitem__, 0, len(table))
+    assert np.array_equal(table, table_copy)
+    stream = NoiseStream(21, 3)
+    row = green_row_adjoint(grid, stream, 0.7, 0.1, 0.35)
+    assert np.array_equal(green_row_adjoint(grid, stream, 0.7, 0.1, 0.35), row)
 
 
 def test_gbar_per_replicate_matches_she_ratio(grid):
@@ -125,6 +148,19 @@ def test_shift_identity_lattice_exact_at_origin(grid):
                                                master_seed=17)
     assert dropped == 0
     assert np.allclose(lhs, rhs, rtol=1e-10)
+
+
+def test_shift_samples_pinned():
+    # bit-for-bit pin of the forward and adjoint passes of the shift driver
+    lhs, rhs, dropped = shift_identity_samples(
+        default_grid(0.1, 7.0), range(6), t=0.5, s=0.25, x=0.5, y=0.5,
+        master_seed=5)
+    assert lhs.shape == rhs.shape == (6,)
+    h = hashlib.sha256(lhs.tobytes())
+    h.update(rhs.tobytes())
+    h.update(str(dropped).encode())
+    assert h.hexdigest() == (
+        "9965c3eb38f83a223e367c1e8fab1ef3ef28bb39821ee093d81a2e27465716ec")
 
 
 def test_shift_identity_check_small():
