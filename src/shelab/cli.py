@@ -56,6 +56,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# keys _print_report reads; dotted keys are nested
+_REPORT_KEYS = ("config", "tables", "verdicts", "wallclock_s", "config.kind",
+                "config.master_seed")
+
+
+def _missing_report_key(report_dict):
+    """The first of _REPORT_KEYS that report_dict lacks, or None."""
+    for key in _REPORT_KEYS:
+        node = report_dict
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                return key
+            node = node[part]
+    return None
+
+
 def _print_report(report_dict):
     cfg = report_dict["config"]
     print(f"kind={cfg['kind']}  seed={cfg['master_seed']}  "
@@ -79,6 +95,10 @@ def main(argv=None) -> int:
             return 2
         except json.JSONDecodeError as e:
             print(f"{path}: not valid JSON: {e}", file=sys.stderr)
+            return 2
+        missing = _missing_report_key(report_dict)
+        if missing is not None:
+            print(f"{path}: not a run report: no key '{missing}'", file=sys.stderr)
             return 2
         _print_report(report_dict)
         return 0

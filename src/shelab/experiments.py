@@ -465,7 +465,8 @@ def _chunk_map(cfg: ExperimentConfig, grid: GridSpec, worker, ids, *params):
 
 def _ensemble_worker(args):
     """transform(block[:, window], t, x_window) per checkpoint step for one
-    chunk evolved by the batch engine; window is an index array."""
+    chunk evolved by the batch engine; window is an index array, and the
+    engine computes only the cells it depends on."""
     grid, seed, ids, steps, mode, window, transform = args
     x = grid.positions()[window]
     out = {}
@@ -473,7 +474,7 @@ def _ensemble_worker(args):
     def consume(step, reps, block):
         out[step] = transform(block[:, window], step * grid.dt, x)
 
-    _BatchEngine(grid, seed, mode=mode).run(ids, steps, consume)
+    _BatchEngine(grid, seed, mode=mode, window=window).run(ids, steps, consume)
     return out
 
 

@@ -21,15 +21,22 @@ batch engine has a kernel-relative mode for that regime (see _BatchEngine).
 The batch engine's step keeps the bits of the plain step above while it
   * allocates its buffers once per run and writes each step into them,
   * runs the kernel-relative tap loop over blocks of _ROW_BLOCK replicate
-    rows, so a block stays in cache, and
+    rows, so a block stays in cache,
   * restricts the taps and the noise multiply to the noise cone, the cells
     the kernel has reached: outside it every term is exactly +0.0, so each
-    sum keeps its bits.
+    sum keeps its bits,
+  * restricts them further to the domain of dependence of the window the
+    consumer reads: at step k of K, the cells within (K - k - 1) * half
+    cells of the window span; cells outside it are left stale, and
+  * runs the tap loop and the noise multiply with a small ufunc buffer
+    (_row_buffers), since numpy buffers column slices of short rows.
+The normals are still drawn for every cell of every row.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -284,7 +291,10 @@ class _BatchEngine:
     and agree on log Z wherever both representations are finite.
     """
 
-    def __init__(self, grid: GridSpec, master_seed: int, mode: str = "absolute"):
+    def __init__(self, grid: GridSpec, master_seed: int, mode: str = "absolute",
+                 window=None):
+        """`window` is the index array of the cells the consumer reads (all
+        cells when None); each step computes only what those cells depend on."""
         if mode not in ("absolute", "relative"):
             raise ValueError("mode must be 'absolute' or 'relative'")
         self.grid = grid
@@ -293,64 +303,93 @@ class _BatchEngine:
         self.w = heat_step_weights(grid.dx, grid.dt)
         self.half = len(self.w) // 2
         self.rng = _FastNormals(master_seed)
-        # (idx, dst, src): tap idx, shift s = idx - half, moves cell i - s to
-        # cell i; cells whose source lies past the Dirichlet-zero edge are not
-        # written, and a tap as long as the grid moves nothing
-        self._shifts = [
-            (idx, slice(max(s, 0), self.n + min(s, 0)),
-             slice(max(-s, 0), self.n - max(s, 0)))
-            for idx, s in enumerate(range(-self.half, self.half + 1))
-            if abs(s) < self.n]
+        if window is None:
+            self._span = (0, self.n)
+        else:
+            w = np.asarray(window)
+            if w.size == 0 or w.min() < 0 or w.max() >= self.n:
+                raise ValueError(f"window must hold cell indices in [0, {self.n})")
+            self._span = (int(w.min()), int(w.max()) + 1)
 
-    def _advance_logK(self, logK):
-        """One heat step of the log discrete kernel via log-sum-exp."""
-        stack = np.full((len(self.w), self.n), _LOG_FLOOR)
-        for idx, dst, src in self._shifts:
-            stack[idx, dst] = logK[src]
+    def _taps(self, c0, c1):
+        """(idx, cols, dst, src) of each tap that writes a cell of [c0, c1):
+        tap idx, shift s = idx - half, moves cell i - s to cell i; dst are the
+        written cells, cols the same cells counted from c0.  Cells whose
+        source lies past the Dirichlet-zero edge are not written, and a tap
+        as long as the grid moves nothing."""
+        taps = []
+        for idx in range(len(self.w)):
+            s = idx - self.half
+            d0, d1 = max(c0, s), min(c1, self.n + s)
+            if d0 < d1:
+                taps.append((idx, slice(d0 - c0, d1 - c0), slice(d0, d1),
+                             slice(d0 - s, d1 - s)))
+        return taps
+
+    def _domain(self, step, last):
+        """Cells [c0, c1) of state step + 1 that the window can depend on at
+        step `last`: the noise cone of state step + 1, within
+        (last - step - 1) * half cells of the window span."""
+        h, i0 = self.half, self.grid.origin_index
+        reach = (last - step - 1) * h
+        c0 = max(0, i0 - (step + 1) * h, self._span[0] - reach)
+        c1 = min(self.n, i0 + (step + 1) * h + 1, self._span[1] + reach)
+        return c0, max(c0, c1)
+
+    def _advance_logK(self, logK, c0=0, c1=None):
+        """One heat step of the log discrete kernel via log-sum-exp on the
+        cells [c0, c1) (all cells by default); _LOG_FLOOR elsewhere.
+
+        Returns log K_{k+1} and the (taps, c1 - c0) stack of
+        log(w_idx K_k(x - s dx)).  The taps are summed one row at a time, the
+        order numpy's axis-0 sum takes on a wide stack; on a one-cell stack
+        that sum would go pairwise and change the bits.
+        """
+        c1 = self.n if c1 is None else c1
+        stack = np.full((len(self.w), c1 - c0), _LOG_FLOOR)
+        for idx, cols, _, src in self._taps(c0, c1):
+            stack[idx, cols] = logK[src]
             stack[idx] += np.log(self.w[idx])
         m = stack.max(axis=0)
         dead = m <= _LOG_FLOOR / 2
         m_safe = np.where(dead, 0.0, m)
+        terms = np.exp(stack - m_safe)
+        total = terms[0].copy()
+        for row in terms[1:]:
+            total += row
+        logK1 = np.full(self.n, _LOG_FLOOR)
         with np.errstate(divide="ignore"):
-            logK1 = m_safe + np.log(np.exp(stack - m_safe).sum(axis=0))
-        logK1[dead] = _LOG_FLOOR
+            logK1[c0:c1] = m_safe + np.log(total)
+        logK1[c0:c1][dead] = _LOG_FLOOR
         return logK1, stack
 
-    def _relative_heat_step(self, V, logK, out, scratch):
-        """One heat step of V = Z dx / K_k into `out`; returns log K_{k+1}
-        and its live cells [lo, hi), one contiguous run.
+    def _relative_heat_step(self, V, logK, out, scratch, c0, c1):
+        """One heat step of V = Z dx / K_k into `out` on the cells [c0, c1),
+        a run inside the noise cone of step k + 1; returns log K_{k+1}, exact
+        on [c0, c1) and _LOG_FLOOR elsewhere.
 
-        Only the live cells are written, so `out` must hold 0 outside them.
-        Outside the cone V and the tap weights are exactly 0: the dropped
-        terms are +0.0, and every live cell still sums all its taps in tap
-        order, to the same bits.
-        The taps run over blocks of _ROW_BLOCK rows through `scratch`
-        (_ROW_BLOCK * n floats), so a block's rows stay in cache.
+        Only [c0, c1) is written: `out` must hold 0 outside the noise cone
+        and may hold stale values elsewhere outside [c0, c1).  V and the tap
+        weights are exactly 0 outside the cone, so the dropped terms are +0.0,
+        and every cell of [c0, c1) still sums all its taps in tap order, to
+        the same bits.  The taps run over blocks of _ROW_BLOCK rows through
+        `scratch` (_ROW_BLOCK * n floats), so a block's rows stay in cache.
         """
-        logK1, stack = self._advance_logK(logK)
-        live = np.flatnonzero(logK1 > _LOG_FLOOR / 2)
-        lo, hi = int(live[0]), int(live[-1]) + 1
-        tw = stack[:, lo:hi]           # taps x live cells, each <= 1
-        tw -= logK1[lo:hi]
+        logK1, tw = self._advance_logK(logK, c0, c1)
+        tw -= logK1[c0:c1]             # taps x cells [c0, c1), each <= 1
         np.exp(tw, out=tw)
-        # (tap weights, dst, src) of each shift, clipped to [lo, hi)
-        taps = []
-        for idx, dst, _ in self._shifts:
-            s = idx - self.half
-            d0, d1 = max(dst.start, lo), min(dst.stop, hi)
-            if d0 < d1:
-                taps.append((tw[idx, d0 - lo:d1 - lo], slice(d0, d1),
-                             slice(d0 - s, d1 - s)))
-        for r in range(0, V.shape[0], _ROW_BLOCK):
-            Vr, Wr = V[r:r + _ROW_BLOCK], out[r:r + _ROW_BLOCK]
-            rows = Vr.shape[0]
-            Wr[:, lo:hi] = 0.0
-            for weights, dst, src in taps:
-                prod = scratch[:rows * weights.size].reshape(rows, weights.size)
-                np.multiply(weights, Vr[:, src], out=prod)
-                acc = Wr[:, dst]
-                acc += prod
-        return logK1, lo, hi
+        taps = [(tw[idx, cols], dst, src) for idx, cols, dst, src in self._taps(c0, c1)]
+        with _row_buffers():
+            for r in range(0, V.shape[0], _ROW_BLOCK):
+                Vr, Wr = V[r:r + _ROW_BLOCK], out[r:r + _ROW_BLOCK]
+                rows = Vr.shape[0]
+                Wr[:, c0:c1] = 0.0
+                for weights, dst, src in taps:
+                    prod = scratch[:rows * weights.size].reshape(rows, weights.size)
+                    np.multiply(weights, Vr[:, src], out=prod)
+                    acc = Wr[:, dst]
+                    acc += prod
+        return logK1
 
     def run(self, replicate_ids, checkpoint_steps, consume):
         """Evolve the block and hand each checkpoint to `consume`.
@@ -358,20 +397,24 @@ class _BatchEngine:
         consume(step, replicate_ids, block) is called at each step in
         checkpoint_steps; in absolute mode the block is the (B, n) Z matrix,
         in relative mode the (B, n) log Z matrix (-inf outside the noise
-        cone).  The block may be a view of a buffer the next step
-        overwrites: it is valid only during the consume call, so a consumer
-        that keeps it must copy it.
+        cone).  The block is valid only on the window; its other cells are
+        unspecified (with window=None every cell is valid).  It may be a view
+        of a buffer the next step overwrites: it is valid only during the
+        consume call, so a consumer that keeps it must copy it.
 
         The state, its swap partner and the normals block are allocated once
-        per run; each step writes into them.
+        per run; each step writes into them, on the cells _domain names.
         """
         reps = list(replicate_ids)
         want = set(checkpoint_steps)
+        last = max(checkpoint_steps)
         relative = self.mode == "relative"
         i0 = self.grid.origin_index
+        h = self.half
         shape = (len(reps), self.n)
         # V (relative) or Z (absolute), and the buffer the next step writes;
-        # both start zeroed because the relative step writes only the cone
+        # both start zeroed: no step writes a cell outside the noise cone
+        # other than with +0.0
         X, Y = np.zeros(shape), np.zeros(shape)
         xi = np.empty(shape)
         if relative:
@@ -382,20 +425,37 @@ class _BatchEngine:
             scratch = np.empty(_ROW_BLOCK * self.n)
         else:
             X[:, i0] = 1.0 / self.grid.dx
-        for k in range(max(checkpoint_steps)):
+        for k in range(last):
+            c0, c1 = self._domain(k, last)
             if relative:
-                logK, lo, hi = self._relative_heat_step(X, logK, Y, scratch)
+                logK = self._relative_heat_step(X, logK, Y, scratch, c0, c1)
             else:
-                convolve1d(X, self.w, axis=1, output=Y, mode="constant", cval=0.0)
-                lo, hi = 0, self.n
+                # every cell of [c0, c1) sees all its taps inside the slice
+                a, b = max(0, c0 - h), min(self.n, c1 + h)
+                convolve1d(X[:, a:b], self.w, axis=1, output=Y[:, a:b],
+                           mode="constant", cval=0.0)
             X, Y = Y, X
             self.rng.normals_block(reps, k, self.n, out=xi)
-            # X is exactly 0 outside [lo, hi), so only that range is multiplied
-            Xl, xl = X[:, lo:hi], xi[:, lo:hi]
-            Xl *= noise_factors(self.grid, xl, out=xl)
+            # X is exactly 0 outside the cone, so only [c0, c1) is multiplied
+            with _row_buffers():
+                Xl, xl = X[:, c0:c1], xi[:, c0:c1]
+                Xl *= noise_factors(self.grid, xl, out=xl)
             if k + 1 in want:
                 block = X
                 if relative:
                     with np.errstate(divide="ignore"):
                         block = np.log(X) + (logK - logdx)
                 consume(k + 1, reps, block)
+
+
+@contextmanager
+def _row_buffers():
+    """Run ufuncs with a 1024-element buffer.  numpy buffers a 2-D strided
+    operand whose rows are shorter than about a third of the buffer size,
+    which makes an in-place add on a (B, 1000) column slice 3x slower; the
+    buffer only copies, so no bit changes."""
+    old = np.setbufsize(1024)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)

@@ -365,6 +365,21 @@ def test_cli_unreadable_input_exits_2(tmp_path, capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("body, key", [
+    ({}, "config"),
+    ([], "config"),
+    ({"config": {"kind": "clt"}, "tables": {}, "verdicts": [], "wallclock_s": 1.0},
+     "config.master_seed"),
+])
+def test_cli_report_without_run_report_keys_exits_2(tmp_path, capsys, body, key):
+    # valid JSON that is not a run report names the missing key, with no traceback
+    (tmp_path / "report.json").write_text(json.dumps(body))
+    rc = cli_main(["report", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"not a run report: no key '{key}'" in err and "Traceback" not in err
+
+
 def test_cli_config_file_takes_kind_from_subcommand(tmp_path, capsys):
     # a file without `kind` is read as the subcommand's kind
     cfg_path = tmp_path / "cfg.json"

@@ -273,3 +273,85 @@ def test_relative_mode_mean_one_far_field():
     vm = v.mean(axis=0)
     se = v.std(axis=0, ddof=1) / np.sqrt(v.shape[0])
     assert np.all(np.abs(vm - 1.0) <= 5 * se)
+
+
+def _checkpoint_rows(g, mode, ids, steps, window=None):
+    """{step: (B, n) copy of the block} from one engine run."""
+    out = {}
+    _BatchEngine(g, 8, mode=mode, window=window).run(
+        ids, steps, lambda k, reps, block: out.setdefault(k, block.copy()))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_window_cells_keep_their_bits(mode):
+    # the engine evolves only the domain of dependence of the window; every
+    # window cell equals the windowless engine's cell bit for bit.  19 rows
+    # leave a remainder after the relative tap loop's row blocks, the early
+    # checkpoint sees a partial noise cone, and the edge windows lie outside
+    # it at the early checkpoint
+    g = default_grid(0.1, 20.0)
+    n, i0 = g.cell_count, g.origin_index
+    steps = [8, 30]
+    ids = list(range(19))
+    whole = _checkpoint_rows(g, mode, ids, steps)
+    windows = {"interior": np.arange(250, 262), "left edge": np.arange(0, 6),
+               "right edge": np.arange(n - 6, n), "origin": np.array([i0]),
+               "gaps": np.array([150, 181, 260])}
+    for name, w in windows.items():
+        part = _checkpoint_rows(g, mode, ids, steps, window=w)
+        for k in steps:
+            assert np.array_equal(part[k][:, w], whole[k][:, w]), (name, k)
+    # the edge windows lie outside the noise cone at step 8 and inside at 30
+    assert (discrete_kernel_log(g, 8)[:6] == -1.0e30).all()
+    assert (discrete_kernel_log(g, 30) > -1.0e30 / 2).all()
+
+
+def test_window_is_checked():
+    g = default_grid(0.1, 2.0)
+    for bad in (np.array([], dtype=int), np.array([-1, 3]), np.array([0, g.cell_count])):
+        with pytest.raises(ValueError, match="window"):
+            _BatchEngine(g, 1, window=bad)
+
+
+def test_advance_logK_on_a_cell_range_matches_full_call():
+    # every one-cell range included: numpy would sum a one-column stack
+    # pairwise, and on this grid that changes the bits of a few cells
+    g = default_grid(0.1, 6.0)
+    eng = _BatchEngine(g, 0, mode="relative")
+    n = g.cell_count
+    logK = np.full(n, -1.0e30)
+    logK[g.origin_index] = 0.0
+    ranges = [(0, n), (5, 40), (25, 36), (40, n)] + [(c, c + 1) for c in range(n)]
+    for _ in range(5):                     # partial cones: live and dead cells
+        full, full_stack = eng._advance_logK(logK)
+        for c0, c1 in ranges:
+            part, stack = eng._advance_logK(logK, c0, c1)
+            assert np.array_equal(part[c0:c1], full[c0:c1]), (c0, c1)
+            assert np.array_equal(stack, full_stack[:, c0:c1]), (c0, c1)
+            assert np.all(np.delete(part, np.arange(c0, c1)) == -1.0e30)
+        logK = full
+    assert 0 < (logK > -1.0e30 / 2).sum() < n
+
+
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_run_leaves_the_ufunc_buffer_size_as_it_found_it(mode):
+    # the engine shrinks numpy's ufunc buffer for its tap loop and noise
+    # multiply only; the consumer runs with the caller's size, and the size
+    # is restored after a normal return and after a consume that raises
+    g = default_grid(0.1, 2.0)
+    old = np.setbufsize(4096)
+    try:
+        seen = []
+        _BatchEngine(g, 3, mode=mode).run(
+            [0, 1], [2, 5], lambda k, reps, block: seen.append(np.getbufsize()))
+        assert seen == [4096, 4096] and np.getbufsize() == 4096
+
+        def fail(k, reps, block):
+            raise KeyError("consumer failed")
+
+        with pytest.raises(KeyError, match="consumer failed"):
+            _BatchEngine(g, 3, mode=mode).run([0, 1], [2, 5], fail)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
