@@ -32,7 +32,7 @@ from .oracles import (lemma_2, lemma_s0, lemma_twotime, lemma_y,
                       limiting_constant, reduced_cov_integral,
                       second_moment_volterra)
 from .sim import (GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights,
-                  log_residual)
+                  log_residual, read_radius)
 from .stats import (KS_MIN_SAMPLES, CovarianceAccumulator, ks_normality,
                     fdd_covariance, mean_se, spatial_averages)
 
@@ -163,6 +163,9 @@ class ExperimentConfig:
                 if not bulk_bad:
                     lo, hi = self._bulk(grid)
                     x_max = max(abs(lo), abs(hi))
+                    if not time_bad:
+                        bad += _underflow_violations(grid, "bulk_window", x_max,
+                                                     self.times[-1])
                 for lag in self.lags:
                     if lag < 0 or abs(round(lag / grid.dx) * grid.dx - lag) > 1e-9 * max(1, lag):
                         bad.append(f"lag {lag} not on the dx lattice")
@@ -218,6 +221,8 @@ class ExperimentConfig:
                     if not time_bad:
                         bad += _cone_violations(grid, "first_moment_xmax", x_max,
                                                 self.times[-1])
+                        bad += _underflow_violations(grid, "first_moment_xmax", x_max,
+                                                     self.times[-1])
                 else:
                     bad.append("first_moment_xmax must be a number >= 0")
                 holder_bad = _time_violations(grid, "holder_s_values",
@@ -241,6 +246,8 @@ class ExperimentConfig:
                     if not pt_bad:
                         bad += _cone_violations(grid, "gbar_probe.x",
                                                 float(probe["x"]), probe["t"])
+                        bad += _underflow_violations(grid, "gbar_probe.x",
+                                                     float(probe["x"]), probe["t"])
                     if probe["k"] != 2:
                         bad.append("gbar_probe.k must be 2, the only moment "
                                    "order with an oracle")
@@ -337,6 +344,18 @@ def _cone_violations(grid, name, x, t):
     if abs(x) > cone + 1e-9:
         return [f"{name} {x:g} lies outside the noise cone |x| <= {cone:g} "
                 f"at t={t:g}"]
+    return []
+
+
+def _underflow_violations(grid, name, x, t):
+    """One violation when |x| lies beyond the read radius at time t: the
+    absolute engine flushes Z to +0.0 beyond the underflow radius, and only
+    the cells inside the read radius keep the bits of the unflushed
+    evolution (sim.read_radius)."""
+    r = read_radius(grid, t)
+    if abs(x) > r:
+        return [f"{name} {x:g} lies beyond the underflow read radius "
+                f"|x| <= {r:.3f} at t={t:g}"]
     return []
 
 
@@ -766,6 +785,8 @@ def _run_diagnostics(cfg: ExperimentConfig):
     xmax = cfg.first_moment_xmax
     k = grid.step_of(t)
     reps = range(cfg.replicates)
+    # absolute-engine reads as (t, |x|), for the underflow margin
+    reads = [(t, xmax)]
     (rows,), wsel = _ensemble(cfg, grid, reps, [k], "absolute", -xmax, xmax, _gbar)
     mean, se = mean_se(rows)
     dev = np.abs(mean - 1.0)
@@ -786,6 +807,7 @@ def _run_diagnostics(cfg: ExperimentConfig):
         svals = [float(s) for s in cfg.holder_s_values]
         steps = [grid.step_of(s) for s in svals]
         x0 = float(grid.positions()[grid.origin_index])
+        reads += [(s, abs(x0)) for s in svals]
         cols, _ = _ensemble(cfg, grid, reps, steps, "absolute", x0, x0, _center_gbar)
         norms = []
         tables["holder"] = []
@@ -805,6 +827,7 @@ def _run_diagnostics(cfg: ExperimentConfig):
         pt, px = float(probe["t"]), float(probe["x"])
         korder = int(probe["k"])
         kstep = grid.step_of(pt)
+        reads.append((pt, abs(px)))
         (g,), _ = _ensemble(cfg, grid, reps, [kstep], "absolute", px, px, _gbar)
         est = moment_estimate(g[:, 0] ** korder)
         mc, mc_se = est.value, est.se
@@ -819,6 +842,8 @@ def _run_diagnostics(cfg: ExperimentConfig):
             abs(mc - ref) <= tol,
             {"mc": mc, "mc_se": mc_se, "oracle": ref, "tolerance": tol}))
         extras["gbar_moment"] = {"mc": mc, "se": mc_se, "oracle": ref}
+    # >= 0 when every read cell lies inside the read radius of its time
+    extras["underflow_margin"] = min(read_radius(grid, tt) - x for tt, x in reads)
     return tables, verdicts, extras
 
 

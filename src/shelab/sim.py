@@ -18,7 +18,8 @@ Fields are plain arrays of Z values.  For probes far outside the diffusive
 scale (|x| >> sqrt(t)), Z underflows while Z/p_t stays O(1); the internal
 batch engine has a kernel-relative mode for that regime (see _BatchEngine).
 
-The batch engine's step keeps the bits of the plain step above while it
+The batch engine's step keeps the bits of the plain step above, on every
+cell a consumer may read, while it
   * allocates its buffers once per run and writes each step into them,
   * runs the kernel-relative tap loop over blocks of _ROW_BLOCK replicate
     rows, so a block stays in cache,
@@ -27,9 +28,20 @@ The batch engine's step keeps the bits of the plain step above while it
     sum keeps its bits,
   * restricts them further to the domain of dependence of the window the
     consumer reads: at step k of K, the cells within (K - k - 1) * half
-    cells of the window span; cells outside it are left stale, and
+    cells of the window span; cells outside it are left stale,
   * runs the tap loop and the noise multiply with a small ufunc buffer
-    (_row_buffers), since numpy buffers column slices of short rows.
+    (_row_buffers), since numpy buffers column slices of short rows, and
+  * in absolute mode, flushes Z to +0.0 beyond the underflow radius R(t)
+    (underflow_radius), where the noise-free field is below exp(-668), 40
+    nats above the smallest normal float64, so no step computes on
+    subnormal numbers.  R(t) is about sqrt(2 t (668 - log dx)); it is the
+    Chernoff bound of the discrete kernel's tail, so it holds for the
+    lattice kernel and not only for its Gaussian limit.  The flush is the
+    one step that changes bits, and only of cells no consumer reads: a cell
+    inside the read radius (read_radius, the same bound at exp(-600)) keeps
+    its bits, because paths that leave R carry less than about exp(-68) of
+    its value, and the config validator keeps absolute-engine reads inside
+    it.
 The normals are still drawn for every cell of every row.
 """
 
@@ -43,6 +55,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import convolve1d
 from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 from .kernels import log_heat_kernel
 from .noise import _FastNormals
@@ -59,12 +72,20 @@ __all__ = [
     "log_residual",
     "heat_step_weights",
     "discrete_kernel_log",
+    "underflow_radius",
+    "read_radius",
 ]
 
 # kernel taps are dropped below exp(-92) ~ 1e-40 of the peak
 _TAP_LOG_CUT = 92.0
 
 _LOG_FLOOR = -1.0e30  # stand-in for log(0) in the relative engine
+
+# the absolute engine flushes Z where the noise-free field is below
+# exp(-_FLUSH_LOG), 40 nats above the smallest normal float64 (2^-1022 ~
+# exp(-708.4)); its reads stay where it is above exp(-_READ_LOG)
+_FLUSH_LOG = 668.0
+_READ_LOG = 600.0
 
 # replicate rows per block of the relative tap loop: three blocks of 16 rows
 # of a 4161-cell grid (1.6 MB) stay in a 4 MiB L2 cache
@@ -259,6 +280,39 @@ def log_residual(Z, t, x):
         return np.log(Z) - log_heat_kernel(t, x)
 
 
+@lru_cache(maxsize=32)
+def _step_log_mgf(dx: float, dt: float):
+    """(theta, log sum_j w_j exp(theta j)): the log moment generating function
+    of one heat step's weights (j in cells) on a geometric grid of theta > 0."""
+    w = heat_step_weights(dx, dt)
+    j = np.arange(len(w)) - len(w) // 2
+    theta = np.geomspace(1e-3, 1e2, 2000)
+    return theta, logsumexp(np.log(w) + theta[:, None] * j, axis=1)
+
+
+@lru_cache(maxsize=4096)
+def _radius_cells(grid: GridSpec, k: float, level: float) -> float:
+    """Cells from the origin beyond which the k-step noise-free field K_k/dx
+    is below exp(-level): by the Chernoff bound, K_k(j) <= exp(k log M(theta)
+    - theta j) for every theta > 0, M the step weights' moment generating
+    function, so it suffices that theta j >= k log M(theta) + level - log dx."""
+    theta, log_mgf = _step_log_mgf(grid.dx, grid.dt)
+    return float(np.min((k * log_mgf + level - math.log(grid.dx)) / theta))
+
+
+def underflow_radius(grid: GridSpec, t: float) -> float:
+    """R(t): beyond it the noise-free field is below exp(-668), 40 nats above
+    the smallest normal float64, and the absolute engine holds Z = +0.0.
+    About sqrt(2 t (668 - log dx)), the value for Gaussian steps."""
+    return _radius_cells(grid, t / grid.dt, _FLUSH_LOG) * grid.dx
+
+
+def read_radius(grid: GridSpec, t: float) -> float:
+    """The same radius at exp(-600), inside R(t): an absolute-engine cell
+    inside it keeps the bits of the unflushed evolution (sim.evolve)."""
+    return _radius_cells(grid, t / grid.dt, _READ_LOG) * grid.dx
+
+
 def discrete_kernel_log(grid: GridSpec, steps: int) -> np.ndarray:
     """log of the steps-fold discrete heat kernel (cell-mass units).
 
@@ -282,9 +336,11 @@ def discrete_kernel_log(grid: GridSpec, steps: int) -> np.ndarray:
 class _BatchEngine:
     """Evolves a block of replicates as one (B, n) matrix.
 
-    mode='absolute' carries Z itself (valid while |x| <~ 37 sqrt(t), the
-    float64 underflow radius).  mode='relative' carries V = Z dx / K_k(x),
-    where K_k is the k-step discrete heat kernel, tracked in log space.  The
+    mode='absolute' carries Z itself, flushed to exactly +0.0 beyond the
+    underflow radius R(t) ~ sqrt(2 t (668 - log dx)) (underflow_radius), so
+    no step computes on subnormal numbers.  mode='relative' carries
+    V = Z dx / K_k(x), where K_k is the k-step discrete heat kernel, tracked
+    in log space.  The
     one-step weights of V are w_j K_k(x - j dx) / K_{k+1}(x), each <= 1 and
     summing to 1 per cell, so V stays O(1) over the whole noise cone and
     E[V] = 1 holds cell-wise exactly.  The two modes consume identical noise
@@ -328,12 +384,17 @@ class _BatchEngine:
 
     def _domain(self, step, last):
         """Cells [c0, c1) of state step + 1 that the window can depend on at
-        step `last`: the noise cone of state step + 1, within
-        (last - step - 1) * half cells of the window span."""
+        step `last`: the noise cone of state step + 1 (in absolute mode cut
+        to the underflow radius), within (last - step - 1) * half cells of
+        the window span."""
         h, i0 = self.half, self.grid.origin_index
+        radius = (step + 1) * h
+        if self.mode == "absolute":
+            radius = min(radius, math.floor(_radius_cells(self.grid, step + 1,
+                                                          _FLUSH_LOG)))
         reach = (last - step - 1) * h
-        c0 = max(0, i0 - (step + 1) * h, self._span[0] - reach)
-        c1 = min(self.n, i0 + (step + 1) * h + 1, self._span[1] + reach)
+        c0 = max(0, i0 - radius, self._span[0] - reach)
+        c1 = min(self.n, i0 + radius + 1, self._span[1] + reach)
         return c0, max(c0, c1)
 
     def _advance_logK(self, logK, c0=0, c1=None):
@@ -413,8 +474,8 @@ class _BatchEngine:
         h = self.half
         shape = (len(reps), self.n)
         # V (relative) or Z (absolute), and the buffer the next step writes;
-        # both start zeroed: no step writes a cell outside the noise cone
-        # other than with +0.0
+        # both start zeroed: no step writes a cell outside the noise cone (in
+        # absolute mode, the underflow radius) other than with +0.0
         X, Y = np.zeros(shape), np.zeros(shape)
         xi = np.empty(shape)
         if relative:
@@ -430,13 +491,18 @@ class _BatchEngine:
             if relative:
                 logK = self._relative_heat_step(X, logK, Y, scratch, c0, c1)
             else:
-                # every cell of [c0, c1) sees all its taps inside the slice
+                # every cell of [c0, c1) sees all its taps inside the slice;
+                # the halo outside [c0, c1) is flushed, so Z stays exactly 0
+                # beyond the underflow radius
                 a, b = max(0, c0 - h), min(self.n, c1 + h)
                 convolve1d(X[:, a:b], self.w, axis=1, output=Y[:, a:b],
                            mode="constant", cval=0.0)
+                Y[:, a:c0] = 0.0
+                Y[:, c1:b] = 0.0
             X, Y = Y, X
             self.rng.normals_block(reps, k, self.n, out=xi)
-            # X is exactly 0 outside the cone, so only [c0, c1) is multiplied
+            # X is exactly 0 outside the cone and the underflow radius, so
+            # only [c0, c1) is multiplied
             with _row_buffers():
                 Xl, xl = X[:, c0:c1], xi[:, c0:c1]
                 Xl *= noise_factors(self.grid, xl, out=xl)

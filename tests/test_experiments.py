@@ -77,6 +77,41 @@ def test_validation_rejects_diagnostics_probes(over, needle):
     assert any(needle in v for v in err.value.violations)
 
 
+def test_validation_rejects_reads_beyond_the_underflow_read_radius():
+    # inside the noise cone and the truncation rule, but beyond the read
+    # radius, about sqrt(2 t (600 - log dx)): 24.57 at t = 0.5 and 17.37 at
+    # t = 0.25 on this grid
+    wide = dict(half_width=40.0, holder_s_values=[])
+    _tiny_diag_cfg(first_moment_xmax=24.5, gbar_probe={"t": 0.25, "x": 17.3},
+                   **wide).validate()
+    with pytest.raises(ConfigError) as err:
+        _tiny_diag_cfg(first_moment_xmax=24.6, gbar_probe={"t": 0.25, "x": -17.4},
+                       **wide).validate()
+    msgs = err.value.violations
+    assert len(msgs) == 2 and all("underflow" in v for v in msgs)
+    assert "first_moment_xmax" in msgs[0] and "gbar_probe.x" in msgs[1]
+    with pytest.raises(ConfigError) as err:
+        _tiny_cov_cfg(half_width=40.0, bulk_window=[-30.0, 3.0]).validate()
+    assert [v for v in err.value.violations if "underflow" in v] == [
+        "bulk_window 30 lies beyond the underflow read radius |x| <= 24.566 at t=0.5"]
+
+
+def test_diagnostics_report_gives_the_underflow_margin(tmp_path):
+    # the read radius minus |x|, smallest over the absolute-engine reads:
+    # the first moment at t = 0.5, the Hoelder cell x = 0 at each s and the
+    # gbar probe at t = 0.25; it goes to report.json and no CSV
+    from shelab.sim import read_radius
+    cfg = _tiny_diag_cfg(out_dir=str(tmp_path))
+    grid = cfg.grid()
+    margin = run(cfg).extras["underflow_margin"]
+    assert margin == min(read_radius(grid, 0.5) - 1.0, read_radius(grid, 0.01),
+                         read_radius(grid, 0.02), read_radius(grid, 0.25) - 0.5)
+    assert margin == read_radius(grid, 0.01)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["extras"]["underflow_margin"] == margin
+    assert not any("underflow" in p.read_text() for p in tmp_path.glob("*.csv"))
+
+
 def test_validation_accepts_any_gbar_probe_time_and_levels():
     # the closed-form second-moment oracle has no t or volterra_levels domain
     _tiny_diag_cfg(gbar_probe={"t": 1.2, "volterra_levels": 8}).validate()

@@ -7,7 +7,8 @@ from shelab.kernels import heat_kernel, log_heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise
 from shelab.sim import (Field, GridSpec, _BatchEngine, default_grid,
                         discrete_kernel_log, evolve, heat_step, heat_step_weights,
-                        height_residual, init_dirac, noise_step)
+                        height_residual, init_dirac, noise_step, read_radius,
+                        underflow_radius)
 
 
 def test_gridspec_basics():
@@ -305,6 +306,69 @@ def test_window_cells_keep_their_bits(mode):
     # the edge windows lie outside the noise cone at step 8 and inside at 30
     assert (discrete_kernel_log(g, 8)[:6] == -1.0e30).all()
     assert (discrete_kernel_log(g, 30) > -1.0e30 / 2).all()
+
+
+def test_underflow_radius_is_conservative():
+    # on the moment grid, every cell where the noise-free field K_k/dx is
+    # above exp(40) x the smallest normal float64 lies inside the cells the
+    # absolute engine computes for state k, at every step of an 800-step run
+    g = default_grid(0.05, 20.0)
+    eng = _BatchEngine(g, 0, mode="absolute")
+    relative = _BatchEngine(g, 0, mode="relative")
+    i0, n = g.origin_index, g.cell_count
+    floor = np.log(np.finfo(float).tiny) + 40.0
+    logK = np.full(n, -1.0e30)
+    logK[i0] = 0.0
+    bound = []
+    for k in range(1, 801):
+        logK, _ = relative._advance_logK(logK)
+        c0, c1 = eng._domain(k - 1, k)
+        above = np.flatnonzero(logK - np.log(g.dx) >= floor)
+        assert c0 <= above.min() and above.max() < c1, k
+        bound.append(c1 - c0 < n)
+        assert c1 - c0 - 1 <= 2 * underflow_radius(g, k * g.dt) / g.dx
+    # the noise cone cuts the grid for the first 5 steps, R for the rest of
+    # the first 237; R(t) is close to its Gaussian value sqrt(2 t (668 - log dx))
+    assert sum(bound) == 237 and bound[236] and not bound[237]
+    assert eng._domain(4, 5)[1] - eng._domain(4, 5)[0] == 2 * 5 * eng.half + 1
+    assert eng._domain(5, 6)[1] - eng._domain(5, 6)[0] < 2 * 6 * eng.half + 1
+    gauss = np.sqrt(2.0 * (668.0 - np.log(g.dx)))
+    assert gauss < underflow_radius(g, 1.0) < 1.01 * gauss
+    assert read_radius(g, 1.0) < underflow_radius(g, 1.0)
+
+
+def test_absolute_engine_holds_no_subnormals():
+    # Z is +0.0 beyond the underflow radius, and every other cell is a
+    # normal float64, while R still cuts the grid (up to step 237 here)
+    g = default_grid(0.05, 20.0)
+    dist = np.abs(np.arange(g.cell_count) - g.origin_index)
+    steps = [20, 50, 100, 200, 300]
+    rows = _checkpoint_rows(g, "absolute", list(range(8)), steps)
+    tiny = np.finfo(float).tiny
+    for k in steps:
+        Z = rows[k]
+        assert not ((Z != 0.0) & (np.abs(Z) < tiny)).any(), k
+        r = int(underflow_radius(g, k * g.dt) / g.dx)
+        assert (Z[:, dist > r] == 0.0).all() and (Z[:, dist <= r] > 0.0).all(), k
+
+
+def test_absolute_engine_keeps_the_bits_of_evolve_inside_the_read_radius():
+    # the flush changes no bit of a window cell inside the read radius,
+    # while R cuts the grid (up to step 59 here); sim.evolve never flushes
+    g = default_grid(0.1, 20.0)
+    times = [0.01, 0.05, 0.1, 0.2, 0.29]
+    steps = [g.step_of(t) for t in times]
+    x = g.positions()
+    window = g.window(-read_radius(g, times[-1]), read_radius(g, times[-1]))
+    ids = [0, 3, 7]
+    rows = _checkpoint_rows(g, "absolute", ids, steps, window=window)
+    for r, rep in enumerate(ids):
+        for t, k, f in zip(times, steps, evolve(g, NoiseStream(8, rep), times)):
+            inside = window[np.abs(x[window]) <= read_radius(g, t)]
+            assert np.array_equal(rows[k][r, inside], f.values[inside]), (rep, t)
+            if k > 5:      # past the first 5 steps, R cuts the noise cone
+                assert np.any(f.values[np.abs(x) > underflow_radius(g, t)] > 0.0)
+    assert underflow_radius(g, times[-1]) < g.half_width
 
 
 def test_window_is_checked():
