@@ -82,35 +82,53 @@ class _FastNormals:
 
     Reuses one Philox object via state assignment, which produces draws
     bit-identical to fresh construction (asserted in the test suite) at a
-    fraction of the setup cost.  Single-threaded use only; each worker
-    process owns its own instance.
+    fraction of the setup cost.  Philox is counter-based, so a fill can start
+    at any cell of the row and keep its bits: the batch engine draws words
+    only on its domain of dependence [lo, hi).  `ndtri` still transforms the
+    whole (B, n) word block, because the benchmark's count model pins the
+    number of variates; the cells never drawn hold the word 2^52, whose
+    normal is exactly 0.0 and takes ndtri's fast central branch.
+    Single-threaded use only; each worker process owns its own instance.
     """
 
     def __init__(self, master_seed: int):
-        self.master_seed = master_seed
         self._bg = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
         self._state = self._bg.state
         self._words = np.empty((0, 0), dtype=np.uint64)  # reused by normals_block
 
-    def fill_u53(self, out, replicate_id: int, step_index: int):
+    def fill_u53(self, out, replicate_id: int, step_index: int, first: int = 0):
+        """53-bit integers of the row's cells first, first + 1, ... into
+        `out`: the same words as out.size cells of a full-row fill from
+        cell `first` on.  Each counter value gives 4 words, so the fill
+        starts at counter first // 4 and drops the first first % 4 words."""
+        # only this method writes the state dict, and it keeps key[0] (the
+        # master seed) and counter[1:3] (zero) as __init__ set them
         st = self._state
-        st["state"]["counter"][:] = 0
-        st["state"]["counter"][3] = step_index
-        st["state"]["key"][0] = self.master_seed
-        st["state"]["key"][1] = replicate_id
+        state = st["state"]
+        state["counter"][0] = first // 4
+        state["counter"][3] = step_index
+        state["key"][1] = replicate_id
         st["buffer_pos"] = 4
         self._bg.state = st
-        np.right_shift(self._bg.random_raw(out.size), 11, out=out)
+        skip = first % 4
+        np.right_shift(self._bg.random_raw(out.size + skip)[skip:], 11, out=out)
 
     def normals_block(self, replicate_ids, step_index: int, cell_count: int,
-                      out=None):
+                      out=None, lo: int = 0, hi: int | None = None):
         """(len(replicate_ids), cell_count) matrix of normals for one step,
-        written into `out` when given.  The word block is kept between calls
-        of the same shape."""
+        written into `out` when given.  Only the cells [lo, hi) (all cells by
+        default) are drawn, and the block is valid only there; the cells of a
+        fresh block never drawn are exactly 0.0.  The word block is kept
+        between calls of the same shape."""
+        hi = cell_count if hi is None else hi
+        if not 0 <= lo <= hi <= cell_count:
+            raise ValueError(f"need 0 <= lo <= hi <= {cell_count}, got [{lo}, {hi})")
         shape = (len(replicate_ids), cell_count)
         if self._words.shape != shape:
-            self._words = np.empty(shape, dtype=np.uint64)
+            # the word 2^52 maps to the normal 0.0; the word 0 would send
+            # every cell never drawn down ndtri's slow tail branch
+            self._words = np.full(shape, 1 << 52, dtype=np.uint64)
         u = self._words
         for i, rid in enumerate(replicate_ids):
-            self.fill_u53(u[i], rid, step_index)
+            self.fill_u53(u[i, lo:hi], rid, step_index, lo)
         return _uniforms_to_normals(u, out=out)

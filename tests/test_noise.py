@@ -141,3 +141,39 @@ def test_validation():
         NoiseStream(1, 0).normals(0, 0)
     with pytest.raises(ValueError):
         NoiseStream(1, 0).normals(-1, 5)
+
+
+@pytest.mark.parametrize("first", [0, 1, 2, 3, 4, 5, 6, 7, 249, 250])
+def test_fill_from_a_cell_matches_the_full_row(first):
+    # the fill from cell `first` equals the full-row fill's slice
+    # [first, first + len), for every residue of first mod 4
+    fast = _FastNormals(master_seed=31)
+    n = 257
+    full = np.empty(n, dtype=np.uint64)
+    fast.fill_u53(full, 6, 40)
+    for length in (1, 3, 4, 5, n - first):      # the last one ends the row
+        part = np.empty(length, dtype=np.uint64)
+        fast.fill_u53(part, 6, 40, first)
+        assert np.array_equal(part, full[first:first + length]), length
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 301), (0, 1), (5, 6), (6, 138),
+                                    (117, 301), (300, 301), (42, 42)])
+def test_normals_block_on_a_range_matches_the_public_rows(lo, hi):
+    # a fresh block is the NoiseStream rows on [lo, hi) and exactly 0.0
+    # elsewhere, the normal of the word 2^52 it starts from
+    n, ids = 301, [0, 3, 11]
+    got = _FastNormals(master_seed=19).normals_block(ids, 8, n, lo=lo, hi=hi)
+    assert got.shape == (3, n)
+    for row, rep in zip(got, ids):
+        assert np.array_equal(row[lo:hi], NoiseStream(19, rep).normals(8, n)[lo:hi])
+    outside = np.concatenate([got[:, :lo], got[:, hi:]], axis=1)
+    assert (outside == 0.0).all() and not np.signbit(outside).any()
+
+
+def test_normals_block_range_is_checked():
+    fast = _FastNormals(master_seed=1)
+    for lo, hi in [(-1, 5), (6, 5), (0, 11), (11, 11)]:
+        with pytest.raises(ValueError):
+            fast.normals_block([0], 0, 10, lo=lo, hi=hi)
+    fast.normals_block([0], 0, 10, lo=10, hi=10)     # an empty range is legal

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shelab.kernels import heat_kernel, log_heat_kernel
-from shelab.noise import NoiseStream, ZeroNoise
+from shelab.noise import NoiseStream, ZeroNoise, _FastNormals
 from shelab.sim import (Field, GridSpec, _BatchEngine, default_grid,
                         discrete_kernel_log, evolve, heat_step, heat_step_weights,
                         height_residual, init_dirac, noise_step, read_radius,
@@ -306,6 +306,43 @@ def test_window_cells_keep_their_bits(mode):
     # the edge windows lie outside the noise cone at step 8 and inside at 30
     assert (discrete_kernel_log(g, 8)[:6] == -1.0e30).all()
     assert (discrete_kernel_log(g, 30) > -1.0e30 / 2).all()
+
+
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_domain_only_draw_keeps_the_window_bits(mode, monkeypatch):
+    # the engine draws Philox words only on its domain [c0, c1); its window
+    # cells equal those of an engine that draws full rows, bit for bit.  c0
+    # moves by 11 cells a step, so it takes every residue mod 4, and the
+    # second run on the same engine starts from the first run's stale words
+    g = default_grid(0.1, 20.0)
+    w, steps = np.arange(250, 262), [8, 30]
+    eng = _BatchEngine(g, 8, mode=mode, window=w)
+    assert {eng._domain(k, 30)[0] % 4 for k in range(30)} == {0, 1, 2, 3}
+    runs = [list(range(7)), list(range(40, 47))]
+
+    def window_rows(engine):
+        out = []
+        for ids in runs:
+            rows = {}
+            engine.run(ids, steps, lambda k, reps, block: rows.setdefault(k, block[:, w].copy()))
+            out.append(rows)
+        return out
+
+    calls = []
+    fill = _FastNormals.fill_u53
+    monkeypatch.setattr(_FastNormals, "fill_u53",
+                        lambda self, out, *a: calls.append(out.size) or fill(self, out, *a))
+    shipped = window_rows(eng)
+    # one fill per (replicate, step) row, on the domain only
+    assert len(calls) == 2 * 7 * 30 and max(calls) < g.cell_count
+    full_rows = _FastNormals.normals_block
+    monkeypatch.setattr(
+        _FastNormals, "normals_block",
+        lambda self, ids, k, n, out=None, lo=0, hi=None: full_rows(self, ids, k, n, out=out))
+    reference = window_rows(_BatchEngine(g, 8, mode=mode, window=w))
+    for got, ref in zip(shipped, reference):
+        for k in steps:
+            assert np.array_equal(got[k], ref[k]), k
 
 
 def test_underflow_radius_is_conservative():
