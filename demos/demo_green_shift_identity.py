@@ -12,7 +12,7 @@ Chapman-Kolmogorov relation and holds replicate-by-replicate to roundoff;
 at a generic probe both sides agree within Monte Carlo error.
 """
 
-from shelab import ShiftIdentityCheck, estimate_g, shift_identity_samples
+from shelab import ShiftIdentityCheck, shift_identity_samples
 from shelab.sim import GridSpec
 
 grid = GridSpec(dx=0.05, half_width=7.0, dt=0.00125)
@@ -27,11 +27,3 @@ for (x, y) in [(0.0, 0.0), (1.0, 0.5)]:
     print(f"  rhs = {chk.rhs:.4f} +- {chk.rhs_se:.4f}")
     print(f"  |diff| = {abs(chk.lhs - chk.rhs):.2e}  "
           f"(3 combined SE = {3 * chk.combined_se:.4f}, dropped {chk.n_dropped})")
-
-print("\nratio estimator g_t(x,y) = E[Gbar(t,x;0,y) / Gbar(t,x;0,0)]")
-wide = GridSpec(dx=0.05, half_width=13.0, dt=0.00125)
-for (x, y, tt, g) in [(1.0, 0.0, t, grid), (0.0, 0.5, t, grid),
-                      (4.0, 0.05, 1.0, wide)]:
-    est = estimate_g(g, 300, tt, x, y, master_seed=5)
-    print(f"  g_{tt:g}(x={x:g}, y={y:g}) = {est.value:.4f} +- {est.se:.4f}"
-          + ("   (exactly 1 per replicate)" if y == 0.0 else ""))

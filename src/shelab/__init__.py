@@ -5,11 +5,10 @@ Subpackages:
   kernels      exact heat-kernel evaluations and identities
   noise        counter-based reproducible white-noise increments
   sim          positivity-preserving operator-splitting field evolution
-  green        shared-noise Green's functions and ratio estimators
+  green        shared-noise Green's functions and the shift identity
   stats        translate-averaged covariance, spatial averages, normality tests
   oracles      deterministic quadrature oracles (simulator-independent)
   experiments  experiment configs, parallel drivers, CSV + report output
-  fieldio      flat binary field checkpoints
 """
 
 __version__ = "0.1.0"
@@ -19,8 +18,8 @@ from .kernels import (fourier_indicator, heat_kernel, kernel_product_identity,
 from .noise import NoiseStream, ZeroNoise
 from .sim import (Field, GridSpec, HeightResidual, default_grid, evolve,
                   heat_step, height_residual, init_dirac, noise_step)
-from .green import (ShiftIdentityCheck, estimate_g, evolve_shared,
-                    green_row_adjoint, shift_identity_samples)
+from .green import (ShiftIdentityCheck, evolve_shared, green_row_adjoint,
+                    shift_identity_samples)
 from .stats import (CovarianceAccumulator, CovarianceEstimate, TestReport,
                     estimate_height_covariance, fdd_covariance, ks_normality)
 from .oracles import (QuadratureResult, lemma_2, lemma_s0, lemma_twotime,

@@ -2,8 +2,7 @@
 
 Subcommands mirror the experiment kinds:
 
-    shelab simulate     --config cfg.json [--seed S] [--workers N] [--out DIR]
-    shelab covariance   ...
+    shelab covariance   --config cfg.json [--seed S] [--workers N] [--out DIR]
     shelab clt          ...
     shelab fdd          ...
     shelab shift-check  ...
@@ -26,7 +25,6 @@ import sys
 from .experiments import ConfigError, ExperimentConfig, run
 
 _KIND_BY_COMMAND = {
-    "simulate": "simulate",
     "covariance": "covariance",
     "clt": "clt",
     "fdd": "fdd",

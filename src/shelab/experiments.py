@@ -26,8 +26,7 @@ from scipy import stats as sps
 
 from . import __version__ as _VERSION
 from .kernels import log_heat_kernel
-from .green import (ShiftIdentityCheck, moment_estimate, shift_identity_samples,
-                    shift_window_cut)
+from .green import ShiftIdentityCheck, shift_identity_samples, shift_window_cut
 from .oracles import (lemma_2, lemma_s0, lemma_twotime, lemma_y,
                       limiting_constant, reduced_cov_integral,
                       second_moment_volterra)
@@ -51,7 +50,7 @@ CSV_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 
 KINDS = ("covariance", "clt", "fdd", "shift_check", "oracle_suite",
-         "diagnostics", "simulate")
+         "diagnostics")
 
 _CHUNK = 64
 
@@ -66,6 +65,11 @@ KS_SIGNIFICANCE = 1e-3
 
 # diagnostics second-moment probe; volterra_levels is accepted and sets nothing
 _GBAR_PROBE_DEFAULTS = {"t": 0.5, "x": 0.0, "k": 2, "volterra_levels": 96}
+
+# fields whose type validate() checks before any rule reads them
+_SCALAR_FIELDS = ("dx", "half_width", "first_moment_xmax")
+_OPTIONAL_SCALAR_FIELDS = ("dt", "shift_s")
+_LIST_FIELDS = ("times", "lags", "n_values", "holder_s_values")
 
 # covariance stationarity check: KS pairs among the quintile points
 # q0..q4 of the bulk window, as (i, j) for (q_i, q_j)
@@ -119,7 +123,9 @@ class ExperimentConfig:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        bad = []
+        bad = self._type_violations()
+        if bad:
+            raise ConfigError(bad)
         if self.kind not in KINDS:
             bad.append(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not _is_integer(self.master_seed):
@@ -216,7 +222,7 @@ class ExperimentConfig:
                                            [v for probe in probes for v in probe])
                 x_max = max((max(abs(x), abs(y)) for x, y in probes), default=0.0)
             elif self.kind == "diagnostics":
-                if _is_real(self.first_moment_xmax) and self.first_moment_xmax >= 0:
+                if self.first_moment_xmax >= 0:
                     x_max = self.first_moment_xmax
                     if not time_bad:
                         bad += _cone_violations(grid, "first_moment_xmax", x_max,
@@ -224,7 +230,7 @@ class ExperimentConfig:
                         bad += _underflow_violations(grid, "first_moment_xmax", x_max,
                                                      self.times[-1])
                 else:
-                    bad.append("first_moment_xmax must be a number >= 0")
+                    bad.append("first_moment_xmax must be >= 0")
                 holder_bad = _time_violations(grid, "holder_s_values",
                                               self.holder_s_values)
                 bad += holder_bad
@@ -257,6 +263,29 @@ class ExperimentConfig:
                     f"= {x_max + 8 * math.sqrt(t_max):.3f} (truncation control)")
         if bad:
             raise ConfigError(bad)
+
+    def _type_violations(self):
+        """One violation per field of the wrong type: the rules in validate()
+        assume finite numbers, lists and a gbar_probe dict."""
+        bad = [f"{name} must be a finite number" for name in _SCALAR_FIELDS
+               if not _is_finite(getattr(self, name))]
+        bad += [f"{name} must be a finite number or null"
+                for name in _OPTIONAL_SCALAR_FIELDS
+                if getattr(self, name) is not None
+                and not _is_finite(getattr(self, name))]
+        bad += [f"{name} must be a list of finite numbers" for name in _LIST_FIELDS
+                if not isinstance(getattr(self, name), list)
+                or not all(map(_is_finite, getattr(self, name)))]
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            bad.append("out_dir must be a string or null")
+        if not isinstance(self.shift_probes, list):
+            bad.append("shift_probes must be a list of [x, y] pairs")
+        if not isinstance(self.gbar_probe, dict):
+            bad.append("gbar_probe must be a dict of finite numbers")
+        else:
+            bad += [f"gbar_probe.{key} must be a finite number"
+                    for key, v in self.gbar_probe.items() if not _is_finite(v)]
+        return bad
 
     def _bulk(self, grid):
         if self.bulk_window is not None:
@@ -301,13 +330,14 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _is_finite(v) -> bool:
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 def _number_pair(v):
-    """(a, b) as floats when v is a list or tuple of two real numbers, else None."""
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v)):
+    """(a, b) as floats when v is a list or tuple of two finite numbers, else None."""
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_finite, v)):
         return float(v[0]), float(v[1])
     return None
 
@@ -468,14 +498,14 @@ def fit_decay(cov, lag_window) -> FitDecayResult:
 
 def _chunk_map(cfg: ExperimentConfig, grid: GridSpec, worker, ids, *params):
     """worker((grid, master seed, chunk, *params)) for each chunk of _CHUNK
-    consecutive ids, results in chunk order; chunks run in worker processes
-    when cfg.workers > 1."""
+    consecutive ids, results in chunk order; chunks run in at most
+    min(cfg.workers, chunk count) worker processes when cfg.workers > 1."""
     ids = list(ids)
     args = [(grid, cfg.master_seed, ids[i:i + _CHUNK], *params)
             for i in range(0, len(ids), _CHUNK)]
     if cfg.workers <= 1 or len(args) <= 1:
         return [worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(args))) as ex:
         return list(ex.map(worker, args))
 
 
@@ -825,47 +855,24 @@ def _run_diagnostics(cfg: ExperimentConfig):
     if cfg.gbar_probe:
         probe = {**_GBAR_PROBE_DEFAULTS, **cfg.gbar_probe}
         pt, px = float(probe["t"]), float(probe["x"])
-        korder = int(probe["k"])
         kstep = grid.step_of(pt)
         reads.append((pt, abs(px)))
         (g,), _ = _ensemble(cfg, grid, reps, [kstep], "absolute", px, px, _gbar)
-        est = moment_estimate(g[:, 0] ** korder)
-        mc, mc_se = est.value, est.se
+        mc, mc_se = mean_se(g[:, 0] ** 2)
         ref = second_moment_volterra(pt, px, px)
         tables["gbar_moment"] = [
-            ("gbar_moment_mc", pt, float(korder), mc, mc_se, est.n),
-            ("gbar_moment_volterra", pt, float(korder), ref, 0.0, 1),
+            ("gbar_moment_mc", pt, 2.0, mc, mc_se, g.shape[0]),
+            ("gbar_moment_volterra", pt, 2.0, ref, 0.0, 1),
         ]
         tol = 3.0 * mc_se + 0.05 * abs(ref)
         verdicts.append(_verdict(
-            f"gbar k={korder} moment matches Volterra oracle within 3 SE + 5%",
+            "gbar k=2 moment matches Volterra oracle within 3 SE + 5%",
             abs(mc - ref) <= tol,
             {"mc": mc, "mc_se": mc_se, "oracle": ref, "tolerance": tol}))
         extras["gbar_moment"] = {"mc": mc, "se": mc_se, "oracle": ref}
     # >= 0 when every read cell lies inside the read radius of its time
     extras["underflow_margin"] = min(read_radius(grid, tt) - x for tt, x in reads)
     return tables, verdicts, extras
-
-
-def _run_simulate(cfg: ExperimentConfig):
-    from .fieldio import save_field
-    from .noise import NoiseStream
-    from .sim import evolve
-    grid = cfg.grid()
-    tables = {"simulate": []}
-    paths = []
-    for rep in range(cfg.replicates):
-        fields = evolve(grid, NoiseStream(cfg.master_seed, rep), cfg.times)
-        for f in fields:
-            name = f"field_rep{rep:06d}_t{f.time:.6f}.shefld"
-            if cfg.out_dir:
-                path = os.path.join(cfg.out_dir, name)
-                save_field(path, f, replicate_id=rep)
-                paths.append(path)
-            tables["simulate"].append(
-                ("field_mass", f.time, rep, float(f.values.sum() * grid.dx),
-                 0.0, grid.cell_count))
-    return tables, [], {"files": [os.path.basename(p) for p in paths]}
 
 
 _DRIVERS = {
@@ -875,7 +882,6 @@ _DRIVERS = {
     "shift_check": _run_shift_check,
     "oracle_suite": _run_oracle_suite,
     "diagnostics": _run_diagnostics,
-    "simulate": _run_simulate,
 }
 
 

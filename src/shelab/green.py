@@ -32,42 +32,21 @@ from scipy.ndimage import convolve1d
 
 from . import noise
 from .kernels import heat_kernel
-from .noise import NoiseStream, _FastNormals
+from .noise import _FastNormals
 from .sim import GridSpec, heat_step_weights, noise_factors
 from .stats import mean_se
 
 __all__ = [
-    "MomentEstimate",
     "ShiftIdentityCheck",
     "evolve_shared",
     "green_row_adjoint",
-    "moment_estimate",
     "shift_identity_samples",
     "shift_window_cut",
-    "estimate_g",
 ]
 
 # z-cells whose Gaussian weight falls below this fraction of the peak are
 # dropped from the shift-identity integral
 _WEIGHT_CUT = 1e-12
-
-
-@dataclass
-class MomentEstimate:
-    value: float
-    se: float
-    n: int
-    reliable: bool
-
-
-def moment_estimate(vals) -> MomentEstimate:
-    """Mean and SE of per-replicate values (SE NaN below two values); flagged
-    unreliable when the mean is zero or the SE is not <= |mean|."""
-    vals = np.asarray(vals, dtype=float)
-    m = int(vals.size)
-    mean, se = mean_se(vals) if m > 1 else (vals.mean(), float("nan"))
-    return MomentEstimate(value=float(mean), se=float(se), n=m,
-                          reliable=bool(mean != 0.0 and se <= abs(mean)))
 
 
 @dataclass
@@ -250,24 +229,3 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
         rhs_vals.append((row[i0] / p_ts_0) / denom)
     return np.array(lhs_vals), np.array(rhs_vals), dropped
 
-
-def estimate_g(grid: GridSpec, m_replicates: int, t: float, x: float, y: float,
-               master_seed: int = 0) -> MomentEstimate:
-    """Estimate g_t(x,y) = E[Gbar(t,x;0,y) / Gbar(t,x;0,0)].
-
-    Per-replicate ratios under shared noise.  For y = 0 the two sources
-    evolve bit-identically, so every ratio is exactly 1.
-    """
-    p_num = heat_kernel(t, x - y)
-    p_den = heat_kernel(t, x)
-    if p_num == 0.0 or p_den == 0.0:
-        raise ValueError("probe configuration reaches heat-kernel underflow")
-    ix = grid.index_of(x)
-    vals = []
-    for rep in range(m_replicates):
-        num, den = evolve_shared(grid, NoiseStream(master_seed, rep),
-                                 [(0.0, y), (0.0, 0.0)], t)[:, ix]
-        if den <= 0.0 or num <= 0.0:
-            continue
-        vals.append((num / p_num) / (den / p_den))
-    return moment_estimate(vals)

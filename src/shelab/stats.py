@@ -87,10 +87,6 @@ class CovarianceAccumulator:
         self.positions = np.asarray(window_positions, dtype=float)
         self._rows = {}
 
-    @property
-    def count(self) -> int:
-        return len(self._rows)
-
     def add(self, replicate_id: int, values: np.ndarray, valid=None):
         if replicate_id in self._rows:
             raise ValueError(f"duplicate replicate_id {replicate_id}")

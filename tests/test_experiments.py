@@ -169,6 +169,7 @@ def _tiny_fdd_cfg(**over):
     (_tiny_shift_cfg, dict(shift_probes=[[1.0, 0.5], 1.0]), "two numbers"),
     (_tiny_fdd_cfg, dict(n_values=[5.0, 10.0]), "fdd reads one N"),  # would use the first
     (_tiny_clt_cfg, dict(replicates=10), "replicates >= 50"),      # KS would raise after the run
+    (_tiny_cov_cfg, dict(out_dir=5), "out_dir must be a string"),
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     make().validate()
@@ -226,6 +227,44 @@ def test_unknown_config_field_rejected():
 def test_kind_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="nope").validate()
+
+
+def test_simulate_kind_is_gone():
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="simulate").validate()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["simulate"])
+    assert exc.value.code == 2
+
+
+def test_worker_pool_is_capped_at_the_chunk_count(monkeypatch):
+    import shelab.experiments as ex
+
+    seen = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+    cfg = _tiny_cov_cfg()
+    ids = range(3 * ex._CHUNK - 5)                      # 3 chunks
+    serial = ex._chunk_map(cfg, cfg.grid(), len, ids)
+    for workers, expected in ((5000, 3), (2, 2)):
+        cfg.workers = workers
+        assert ex._chunk_map(cfg, cfg.grid(), len, ids) == serial
+        assert seen[-1] == expected
 
 
 def test_csv_bodies_identical_across_worker_counts(tmp_path):
@@ -287,22 +326,6 @@ def test_fit_decay_excludes_nonpositive_with_warning():
     assert fit.n_used == 3
     with pytest.raises(ValueError):
         fit_decay(est, (1.0, 2.0))   # fewer than 3 usable lags
-
-
-def test_simulate_kind_persists_fields(tmp_path):
-    from shelab.fieldio import load_field
-    from shelab.noise import NoiseStream
-    from shelab.sim import evolve
-
-    cfg = ExperimentConfig(kind="simulate", master_seed=3, dx=0.1,
-                           half_width=3.0, times=[0.05, 0.1], replicates=2,
-                           calibration_replicates=1, out_dir=str(tmp_path))
-    report = run(cfg)
-    files = sorted(p for p in os.listdir(tmp_path) if p.endswith(".shefld"))
-    assert len(files) == 4
-    f, rep = load_field(tmp_path / files[0])
-    ref = evolve(f.grid, NoiseStream(3, rep), [f.time])[0]
-    assert np.array_equal(f.values, ref.values)
 
 
 def test_partial_outputs_cleaned_on_write_failure(tmp_path, monkeypatch):
@@ -375,13 +398,26 @@ def test_cli_invalid_config_lists_violations(tmp_path, capsys):
     (dict(kind="clt", boundary="dirichlet"), "unknown config field 'boundary'"),
     (dict(kind="covariance"), "is a 'covariance' config, not 'clt'"),
     ([{"kind": "clt"}], "a config file holds one JSON object"),
+    # wrongly typed fields: ConfigError before any rule reads them
+    (dict(n_values=None), "n_values must be a list of finite numbers"),
+    (dict(lags=None), "lags must be a list of finite numbers"),
+    (dict(n_values=[50, "a"]), "n_values must be a list of finite numbers"),
+    (dict(times="1.0"), "times must be a list of finite numbers"),
+    (dict(dx="0.1"), "dx must be a finite number"),
+    (dict(dt="0.005"), "dt must be a finite number or null"),
+    (dict(gbar_probe=[1, 2]), "gbar_probe must be a dict of finite numbers"),
+    (dict(gbar_probe={"x": None}), "gbar_probe.x must be a finite number"),
+    (dict(shift_probes=None), "shift_probes must be a list of [x, y] pairs"),
+    (dict(n_values=[float("inf")]), "n_values must be a list of finite numbers"),
+    (dict(lags=[float("nan")]), "lags must be a list of finite numbers"),
 ])
 def test_cli_config_file_errors_exit_2(tmp_path, capsys, body, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(body))
     rc = cli_main(["clt", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 

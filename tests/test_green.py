@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from shelab.experiments import _gbar
-from shelab.green import (ShiftIdentityCheck, _adjoint, _forward, estimate_g,
-                          evolve_shared, green_row_adjoint, moment_estimate,
-                          shift_identity_samples)
+from shelab.green import (ShiftIdentityCheck, _adjoint, _forward, evolve_shared,
+                          green_row_adjoint, shift_identity_samples)
 from shelab.kernels import heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise
 from shelab.sim import GridSpec, default_grid, evolve, heat_step, init_dirac
+from shelab.stats import mean_se
 
 
 @pytest.fixture
@@ -103,42 +103,15 @@ def test_gbar_per_replicate_matches_she_ratio(grid):
 
 
 def test_estimate_gbar_moment_mean_one():
-    # the diagnostics driver's path: moment_estimate of _gbar at the probe
+    # the diagnostics driver's path: mean_se of _gbar at the probe
     grid = GridSpec(dx=0.1, half_width=4.0, dt=0.005)
     t, x = 0.25, 0.5
     ix = grid.index_of(x)
     vals = [_gbar(evolve_shared(grid, NoiseStream(3, r), [(0.0, 0.0)], t)[0, ix], t, x)
             for r in range(400)]
-    est = moment_estimate(vals)
-    assert est.reliable and est.n == 400
-    assert abs(est.value - 1.0) <= 3 * est.se
-
-
-def test_estimate_gbar_moment_degenerate():
-    # one value: no SE, so the estimate is flagged unreliable
-    est = moment_estimate([1.7])
-    assert est.value == 1.7 and est.n == 1
-    assert not est.reliable and np.isnan(est.se)
-    assert not moment_estimate([0.0, 0.0]).reliable       # zero mean
-
-
-def test_estimate_g_identity_at_y_zero():
-    grid = GridSpec(dx=0.1, half_width=4.0, dt=0.005)
-    est = estimate_g(grid, 8, 0.2, 1.0, 0.0, master_seed=5)
-    assert est.value == 1.0 and est.se == 0.0
-
-
-def test_estimate_g_continuity_at_small_y():
-    grid = GridSpec(dx=0.05, half_width=5.0, dt=0.00125)
-    est = estimate_g(grid, 300, 0.5, 0.0, 0.05, master_seed=8)
-    # one cell away from the definitional point g_t(0,0) = 1
-    assert abs(est.value - 1.0) <= max(3 * est.se, 0.1)
-
-
-def test_estimate_g_far_x_small_y():
-    grid = GridSpec(dx=0.05, half_width=8.0, dt=0.00125)
-    est = estimate_g(grid, 300, 1.0, 4.0, 0.05, master_seed=8)
-    assert abs(est.value - 1.0) <= 3 * est.se + 0.05
+    mean, se = mean_se(vals)
+    assert 0.0 < se <= abs(mean)
+    assert abs(mean - 1.0) <= 3 * se
 
 
 def test_shift_identity_lattice_exact_at_origin(grid):
