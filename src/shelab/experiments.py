@@ -31,7 +31,7 @@ from .oracles import (lemma_2, lemma_s0, lemma_twotime, lemma_y,
                       limiting_constant, reduced_cov_integral,
                       second_moment_volterra)
 from .sim import (GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights,
-                  log_residual, read_radius)
+                  log_residual, read_radius, tilted_variance_ratio)
 from .stats import (KS_MIN_SAMPLES, CovarianceAccumulator, ks_normality,
                     fdd_covariance, mean_se, spatial_averages)
 
@@ -656,6 +656,12 @@ def _clt_residuals(cfg: ExperimentConfig, grid, times, n_max, ids):
     return rows_at, wpos
 
 
+def _tilted_ratio_at(grid, x, t):
+    """sim.tilted_variance_ratio at the walk speed (x/t) dt/dx cells/step of
+    a read at x and time t (reported, not a verdict)."""
+    return tilted_variance_ratio(grid, x / t * grid.dt / grid.dx)
+
+
 def _run_clt(cfg: ExperimentConfig):
     grid = cfg.grid()
     t = cfg.times[-1]
@@ -700,7 +706,8 @@ def _run_clt(cfg: ExperimentConfig):
         not rep.reject, {"p_value": rep.p_value, "statistic": rep.statistic}))
     extras = {"m_hat": m_hat,
               "ratios": {str(N): {"ratio": ratios[N][0], "se": ratios[N][1]}
-                         for N in n_values}}
+                         for N in n_values},
+              "tilted_variance_ratio": _tilted_ratio_at(grid, n_max, t)}
     return tables, verdicts, extras
 
 
@@ -720,7 +727,9 @@ def _run_fdd(cfg: ExperimentConfig):
         f"Cov[X_N({t1:g}), X_N({t2:g})]/{target:g} in {BAND_FDD_RATIO}",
         BAND_FDD_RATIO[0] <= ratio <= BAND_FDD_RATIO[1],
         {"ratio": ratio, "se": se / target})]
-    return tables, verdicts, {"cov": cov, "se": se, "ratio": ratio}
+    extras = {"cov": cov, "se": se, "ratio": ratio,
+              "tilted_variance_ratio": _tilted_ratio_at(grid, N, min(times))}
+    return tables, verdicts, extras
 
 
 def _run_shift_check(cfg: ExperimentConfig):

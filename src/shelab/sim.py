@@ -20,17 +20,22 @@ batch engine has a kernel-relative mode for that regime (see _BatchEngine).
 
 The batch engine's step keeps the bits of the plain step above, on every
 cell a consumer may read, while it
-  * allocates its buffers once per run and writes each step into them,
-  * runs the kernel-relative tap loop over blocks of _ROW_BLOCK replicate
-    rows, so a block stays in cache,
+  * allocates its buffers once per run and writes each step into them
+    (the relative step's sparse product allocates its data and result),
+  * in relative mode, holds the state cell-major, one replicate per column,
+    and runs the 23-tap step as one sparse product per step: row i of a CSR
+    matrix holds the tap weights whose source lies on the grid, in tap
+    order, and scipy's csr_matvecs sums them onto a zeroed result in that
+    order, which is the plain step's order,
   * restricts the taps and the noise multiply to the noise cone, the cells
     the kernel has reached: outside it every term is exactly +0.0, so each
     sum keeps its bits,
   * restricts them further to the domain of dependence of the window the
     consumer reads: at step k of K, the cells within (K - k - 1) * half
     cells of the window span; cells outside it are left stale,
-  * runs the tap loop and the noise multiply with a small ufunc buffer
-    (_row_buffers), since numpy buffers column slices of short rows, and
+  * runs the noise factors, and the absolute mode's noise multiply, with a
+    small ufunc buffer (_row_buffers), since numpy buffers column slices of
+    short rows, and
   * in absolute mode, flushes Z to +0.0 beyond the underflow radius R(t)
     (underflow_radius), where the noise-free field is below exp(-668), 40
     nats above the smallest normal float64, so no step computes on
@@ -61,6 +66,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import convolve1d
 from scipy.optimize import brentq
+from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
 from .kernels import log_heat_kernel
@@ -80,6 +86,7 @@ __all__ = [
     "discrete_kernel_log",
     "underflow_radius",
     "read_radius",
+    "tilted_variance_ratio",
 ]
 
 # kernel taps are dropped below exp(-92) ~ 1e-40 of the peak
@@ -92,10 +99,6 @@ _LOG_FLOOR = -1.0e30  # stand-in for log(0) in the relative engine
 # exp(-708.4)); its reads stay where it is above exp(-_READ_LOG)
 _FLUSH_LOG = 668.0
 _READ_LOG = 600.0
-
-# replicate rows per block of the relative tap loop: three blocks of 16 rows
-# of a 4161-cell grid (1.6 MB) stay in a 4 MiB L2 cache
-_ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -319,6 +322,43 @@ def read_radius(grid: GridSpec, t: float) -> float:
     return _radius_cells(grid, t / grid.dt, _READ_LOG) * grid.dx
 
 
+def tilted_variance_ratio(grid: GridSpec, speed: float) -> float:
+    """Variance of the heat step weights (j in cells) under the exponential
+    tilt w_j exp(theta j) / M(theta) whose mean is `speed` cells per step,
+    over their untilted variance dt/dx^2.
+
+    A read at x after k steps has its kernel carried by the walk tilted to
+    speed x/(k dx); a ratio below 1 means the lattice resolves fluctuations
+    there with less than the continuum's variance.  The tilt is symmetric
+    in the sign of `speed`; at the noise-cone edge, |speed| = taps // 2, the
+    tilted walk takes only the outermost tap and the ratio is 0.
+    """
+    w = heat_step_weights(grid.dx, grid.dt)
+    half = len(w) // 2
+    speed = abs(float(speed))
+    if speed > half:
+        raise ValueError(f"speed {speed:g} cells/step lies outside the noise "
+                         f"cone (at most {half} cells/step)")
+    if speed == half:
+        return 0.0
+    j = np.arange(-half, half + 1)
+    logw = np.log(w)
+
+    def mean_var(theta):
+        a = logw + theta * j
+        p = np.exp(a - a.max())
+        p /= p.sum()
+        m = float(p @ j)
+        return m, float(p @ (j - m) ** 2)
+
+    hi = 1.0
+    while mean_var(hi)[0] <= speed:     # the tilted mean tends to half
+        hi *= 2.0
+    theta = 0.0 if speed == 0.0 else brentq(lambda th: mean_var(th)[0] - speed,
+                                             0.0, hi, xtol=1e-14)
+    return mean_var(theta)[1] / mean_var(0.0)[1]
+
+
 def discrete_kernel_log(grid: GridSpec, steps: int) -> np.ndarray:
     """log of the steps-fold discrete heat kernel (cell-mass units).
 
@@ -340,17 +380,20 @@ def discrete_kernel_log(grid: GridSpec, steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _BatchEngine:
-    """Evolves a block of replicates as one (B, n) matrix.
+    """Evolves a block of B replicates.
 
-    mode='absolute' carries Z itself, flushed to exactly +0.0 beyond the
-    underflow radius R(t) ~ sqrt(2 t (668 - log dx)) (underflow_radius), so
-    no step computes on subnormal numbers.  mode='relative' carries
-    V = Z dx / K_k(x), where K_k is the k-step discrete heat kernel, tracked
-    in log space.  The
-    one-step weights of V are w_j K_k(x - j dx) / K_{k+1}(x), each <= 1 and
-    summing to 1 per cell, so V stays O(1) over the whole noise cone and
-    E[V] = 1 holds cell-wise exactly.  The two modes consume identical noise
-    and agree on log Z wherever both representations are finite.
+    mode='absolute' carries Z itself as a (B, n) matrix, flushed to exactly
+    +0.0 beyond the underflow radius R(t) ~ sqrt(2 t (668 - log dx))
+    (underflow_radius), so no step computes on subnormal numbers; its heat
+    step is convolve1d.  mode='relative' carries V = Z dx / K_k(x), where
+    K_k is the k-step discrete heat kernel, tracked in log space, as a
+    cell-major (n, B) matrix.  The one-step weights of V are
+    w_j K_k(x - j dx) / K_{k+1}(x), each <= 1 and summing to 1 per cell, so
+    V stays O(1) over the whole noise cone and E[V] = 1 holds cell-wise
+    exactly; its heat step is one CSR product per step, whose pattern is
+    built once per engine.  The two modes consume identical noise, hand
+    `consume` (B, n) blocks, and agree on log Z wherever both
+    representations are finite.
     """
 
     def __init__(self, grid: GridSpec, master_seed: int, mode: str = "absolute",
@@ -372,6 +415,14 @@ class _BatchEngine:
             if w.size == 0 or w.min() < 0 or w.max() >= self.n:
                 raise ValueError(f"window must hold cell indices in [0, {self.n})")
             self._span = (int(w.min()), int(w.max()) + 1)
+        if mode == "relative":
+            # the CSR pattern of one heat step on the whole grid: row i holds,
+            # in tap order, the taps idx whose source i + half - idx is on it
+            src = np.arange(self.n)[:, None] + self.half - np.arange(len(self.w))
+            self._tap_on = (src >= 0) & (src < self.n)
+            self._tap_cols = src[self._tap_on].astype(np.int32)
+            self._tap_ptr = np.zeros(self.n + 1, dtype=np.int32)
+            np.cumsum(self._tap_on.sum(axis=1), out=self._tap_ptr[1:])
 
     def _taps(self, c0, c1):
         """(idx, cols, dst, src) of each tap that writes a cell of [c0, c1):
@@ -430,32 +481,27 @@ class _BatchEngine:
         logK1[c0:c1][dead] = _LOG_FLOOR
         return logK1, stack
 
-    def _relative_heat_step(self, V, logK, out, scratch, c0, c1):
-        """One heat step of V = Z dx / K_k into `out` on the cells [c0, c1),
-        a run inside the noise cone of step k + 1; returns log K_{k+1}, exact
-        on [c0, c1) and _LOG_FLOOR elsewhere.
+    def _relative_heat_step(self, V, logK, out, c0, c1):
+        """One heat step of the cell-major (n, B) state V = Z dx / K_k into
+        `out` on the cells [c0, c1), a run inside the noise cone of step
+        k + 1; returns log K_{k+1}, exact on [c0, c1) and _LOG_FLOOR elsewhere.
 
         Only [c0, c1) is written: `out` must hold 0 outside the noise cone
         and may hold stale values elsewhere outside [c0, c1).  V and the tap
-        weights are exactly 0 outside the cone, so the dropped terms are +0.0,
-        and every cell of [c0, c1) still sums all its taps in tap order, to
-        the same bits.  The taps run over blocks of _ROW_BLOCK rows through
-        `scratch` (_ROW_BLOCK * n floats), so a block's rows stay in cache.
+        weights are exactly 0 outside the cone, so the dropped terms are +0.0.
+        The step is one product out[c0:c1] = M @ V with a CSR matrix M that
+        holds, per row, the taps whose source lies on the grid in tap order;
+        scipy's csr_matvecs sums them in stored order onto a zeroed result,
+        so every cell sums w_idx V[src] in tap order from 0.0.
         """
         logK1, tw = self._advance_logK(logK, c0, c1)
         tw -= logK1[c0:c1]             # taps x cells [c0, c1), each <= 1
         np.exp(tw, out=tw)
-        taps = [(tw[idx, cols], dst, src) for idx, cols, dst, src in self._taps(c0, c1)]
-        with _row_buffers():
-            for r in range(0, V.shape[0], _ROW_BLOCK):
-                Vr, Wr = V[r:r + _ROW_BLOCK], out[r:r + _ROW_BLOCK]
-                rows = Vr.shape[0]
-                Wr[:, c0:c1] = 0.0
-                for weights, dst, src in taps:
-                    prod = scratch[:rows * weights.size].reshape(rows, weights.size)
-                    np.multiply(weights, Vr[:, src], out=prod)
-                    acc = Wr[:, dst]
-                    acc += prod
+        ptr = self._tap_ptr
+        e0, e1 = ptr[c0], ptr[c1]
+        M = csr_array((tw.T[self._tap_on[c0:c1]], self._tap_cols[e0:e1],
+                       ptr[c0:c1 + 1] - e0), shape=(c1 - c0, self.n))
+        out[c0:c1] = M @ V
         return logK1
 
     def run(self, replicate_ids, checkpoint_steps, consume):
@@ -463,11 +509,11 @@ class _BatchEngine:
 
         consume(step, replicate_ids, block) is called at each step in
         checkpoint_steps; in absolute mode the block is the (B, n) Z matrix,
-        in relative mode the (B, n) log Z matrix (-inf outside the noise
-        cone).  The block is valid only on the window; its other cells are
-        unspecified (with window=None every cell is valid).  It may be a view
-        of a buffer the next step overwrites: it is valid only during the
-        consume call, so a consumer that keeps it must copy it.
+        in relative mode a C-ordered (B, n) log Z matrix (-inf outside the
+        noise cone).  The block is valid only on the window; its other cells
+        are unspecified (with window=None every cell is valid).  It may be a
+        view of a buffer the next step overwrites: it is valid only during
+        the consume call, so a consumer that keeps it must copy it.
 
         The state, its swap partner and the normals block are allocated once
         per run; each step writes into them, and draws its noise, on the cells
@@ -479,24 +525,24 @@ class _BatchEngine:
         relative = self.mode == "relative"
         i0 = self.grid.origin_index
         h = self.half
-        shape = (len(reps), self.n)
-        # V (relative) or Z (absolute), and the buffer the next step writes;
-        # both start zeroed: no step writes a cell outside the noise cone (in
-        # absolute mode, the underflow radius) other than with +0.0
+        # V (relative, cell-major (n, B)) or Z (absolute, (B, n)), and the
+        # buffer the next step writes; both start zeroed: no step writes a
+        # cell outside the noise cone (in absolute mode, the underflow
+        # radius) other than with +0.0
+        shape = (self.n, len(reps)) if relative else (len(reps), self.n)
         X, Y = np.zeros(shape), np.zeros(shape)
-        xi = np.empty(shape)
+        xi = np.empty((len(reps), self.n))
         if relative:
             logK = np.full(self.n, _LOG_FLOOR)
             logK[i0] = 0.0
-            X[:, i0] = 1.0
+            X[i0] = 1.0
             logdx = np.log(self.grid.dx)
-            scratch = np.empty(_ROW_BLOCK * self.n)
         else:
             X[:, i0] = 1.0 / self.grid.dx
         for k in range(last):
             c0, c1 = self._domain(k, last)
             if relative:
-                logK = self._relative_heat_step(X, logK, Y, scratch, c0, c1)
+                logK = self._relative_heat_step(X, logK, Y, c0, c1)
             else:
                 # every cell of [c0, c1) sees all its taps inside the slice;
                 # the halo outside [c0, c1) is flushed, so Z stays exactly 0
@@ -511,14 +557,24 @@ class _BatchEngine:
             self.rng.normals_block(reps, k, self.n, out=xi, lo=c0, hi=c1)
             # X is exactly 0 outside the cone and the underflow radius, so
             # only [c0, c1) is multiplied
+            xl = xi[:, c0:c1]
             with _row_buffers():
-                Xl, xl = X[:, c0:c1], xi[:, c0:c1]
-                Xl *= noise_factors(self.grid, xl, out=xl)
+                noise_factors(self.grid, xl, out=xl)
+                if not relative:
+                    X[:, c0:c1] *= xl
+            if relative:
+                # the transposed multiply runs faster with numpy's own buffer
+                X[c0:c1] *= xl.T
             if k + 1 in want:
                 block = X
                 if relative:
+                    # a C-ordered (B, n) copy, also when B = 1 makes X.T
+                    # contiguous already: the log runs on the layout it
+                    # always had, and never on the state
+                    block = X.T.copy()
                     with np.errstate(divide="ignore"):
-                        block = np.log(X) + (logK - logdx)
+                        np.log(block, out=block)
+                    block += logK - logdx
                 consume(k + 1, reps, block)
 
 

@@ -151,6 +151,25 @@ def _tiny_fdd_cfg(**over):
                             **over})
 
 
+def test_clt_and_fdd_report_the_tilted_variance_ratio(tmp_path):
+    # the ratio at the largest read, (N/t) dt/dx cells/step: N = 9 at
+    # t = 0.05 (fdd's earlier time) is 9 cells/step at dx = 0.1; it goes to
+    # report.json, not to a CSV or a verdict
+    from shelab.sim import tilted_variance_ratio
+    for make, over in ((_tiny_clt_cfg, dict(times=[0.05], n_values=[5.0, 9.0])),
+                       (_tiny_fdd_cfg, dict(times=[0.05, 0.1], n_values=[9.0]))):
+        out = tmp_path / make.__name__
+        cfg = make(out_dir=str(out), **over)
+        result = run(cfg)
+        ratio = result.extras["tilted_variance_ratio"]
+        assert ratio == tilted_variance_ratio(cfg.grid(), 9.0)
+        assert abs(ratio - 0.99879) < 1e-5
+        assert not any("tilt" in v["criterion"] for v in result.verdicts)
+        report = json.loads((out / "report.json").read_text())
+        assert report["extras"]["tilted_variance_ratio"] == ratio
+        assert not any("tilt" in p.read_text() for p in out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("make, over, needle", [
     (_tiny_shift_cfg, dict(shift_s=0.2501), "shift_s"),            # off the dt lattice
     (_tiny_shift_cfg, dict(shift_probes=[[0.03, 0.0]]), "shift_probes"),  # off dx lattice

@@ -8,7 +8,7 @@ from shelab.noise import NoiseStream, ZeroNoise, _FastNormals
 from shelab.sim import (Field, GridSpec, _BatchEngine, default_grid,
                         discrete_kernel_log, evolve, heat_step, heat_step_weights,
                         height_residual, init_dirac, noise_step, read_radius,
-                        underflow_radius)
+                        tilted_variance_ratio, underflow_radius)
 
 
 def test_gridspec_basics():
@@ -215,6 +215,75 @@ def test_relative_engine_log_z_pinned():
     assert lz.shape == (3, g.cell_count) and np.isfinite(lz).all()
     assert hashlib.sha256(lz.tobytes()).hexdigest() == (
         "d3d7f4949df53f623a5b857508936c4830d17479e94d77b7720c452efb995705")
+
+
+def test_windowed_relative_run_pinned():
+    # bit-for-bit pin of a windowed relative run: two checkpoints, a
+    # backward cone that shrinks towards the last one, and a domain that
+    # reaches both grid edges on the middle steps; the digest was taken with
+    # the earlier row-major tap loop and holds for the CSR product
+    g = default_grid(0.1, 6.0)
+    n, w, steps = g.cell_count, g.window(0.0, 4.0), [20, 50]
+    eng = _BatchEngine(g, 5, mode="relative", window=w)
+    domains = [eng._domain(k, steps[-1]) for k in range(steps[-1])]
+    assert (0, n) in domains and domains[-1] == (w[0], w[-1] + 1)
+    digest = hashlib.sha256()
+
+    def consume(k, reps, block):
+        assert block.shape == (3, n) and block.flags.c_contiguous
+        assert np.isfinite(block[:, w]).all()
+        digest.update(block[:, w].tobytes())
+
+    eng.run([0, 1, 2], steps, consume)
+    assert digest.hexdigest() == (
+        "36f7578dd8ac88a7751a1b6acc57b9c562f76d44c9ecd22c1b02d09b57e0b765")
+
+
+def test_relative_heat_step_sums_taps_in_order():
+    # every written cell is the sum of w_idx V[src] over the taps idx = 0..22
+    # whose source src = i + half - idx lies on the grid, taken in tap order
+    # from 0.0, bit for bit; cells outside [c0, c1) are not written
+    g = default_grid(0.1, 2.0)
+    eng = _BatchEngine(g, 0, mode="relative")
+    n, h, B = g.cell_count, eng.half, 3
+    assert n == 41 and n < 4 * h
+    logK = np.full(n, -1.0e30)
+    logK[g.origin_index] = 0.0
+    for _ in range(3):                   # the noise cone covers the grid
+        logK, _ = eng._advance_logK(logK)
+    V = np.random.default_rng(1).uniform(0.5, 2.0, (n, B))
+    for c0, c1 in [(0, n), (0, 17), (30, n), (h + 1, n - h - 1)]:
+        logK1, stack = eng._advance_logK(logK, c0, c1)
+        tw = np.exp(stack - logK1[c0:c1])
+        out = np.full((n, B), 7.0)
+        got = eng._relative_heat_step(V, logK, out, c0, c1)
+        assert np.array_equal(got, logK1)
+        for i in range(c0, c1):
+            for b in range(B):
+                acc = 0.0
+                for idx in range(len(eng.w)):
+                    src = i + h - idx
+                    if 0 <= src < n:
+                        acc += float(tw[idx, i - c0]) * float(V[src, b])
+                assert out[i, b] == acc, (c0, c1, i, b)
+        assert (np.delete(out, np.arange(c0, c1), axis=0) == 7.0).all()
+
+
+def test_tilted_variance_ratio():
+    # the tilted walk's variance over dt/dx^2; at dx = 0.1 the 23-tap step
+    # keeps it within 2e-3 at 9 cells/step, and it falls to 0.919 at 10 and
+    # to 0 at the cone edge, 11; between integer speeds it ripples by 0.4%
+    g = default_grid(0.1, 6.0)
+    assert tilted_variance_ratio(g, 0.0) == 1.0
+    assert abs(tilted_variance_ratio(g, 9.0) - 1.0) < 2e-3
+    assert abs(tilted_variance_ratio(g, 10.0) - 0.919) < 1e-3
+    assert tilted_variance_ratio(g, -10.0) == tilted_variance_ratio(g, 10.0)
+    assert all(abs(tilted_variance_ratio(g, s) - 1.0) < 5e-3
+               for s in np.linspace(0.0, 9.0, 37))
+    tail = [tilted_variance_ratio(g, s) for s in (9.0, 10.0, 10.5, 11.0)]
+    assert all(a > b for a, b in zip(tail, tail[1:])) and tail[-1] == 0.0
+    with pytest.raises(ValueError, match="noise cone"):
+        tilted_variance_ratio(g, 11.5)
 
 
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
