@@ -9,8 +9,10 @@ and the two-time covariance ratio at N = 50.
 Note the resolution effect: the variance ratio sits well below 1 and
 *decreases* from N = 50 to N = 200 at t = 1.  The lattice cuts off the t/x
 covariance tail past x* ~ 2 sqrt(2) t/dx, about 28 at dx = 0.1: its first
-chaos falls 0.654 -> 0.537 over these N while the continuum first chaos
-rises 0.756 -> 0.815.  The Gaussianity of the samples is already excellent.
+chaos falls 0.654 -> 0.537 over these N while the exact continuum first
+chaos rises 0.827 -> 0.867 (the paper's lemma integral,
+lemma_twotime(1, 1, N)/2, rises 0.756 -> 0.815).  The Gaussianity of the
+samples is already excellent.
 """
 
 from shelab.experiments import ExperimentConfig, run

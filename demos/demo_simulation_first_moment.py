@@ -22,18 +22,18 @@ print(f"grid: dx={grid.dx}, dt={grid.dt}, {grid.cell_count} cells, "
 # deterministic sanity pass: zero-noise hook reduces the scheme to pure heat
 # flow times the known compensator
 k = grid.step_of(t)
-f0 = evolve(grid, ZeroNoise(), [t])[0]
+Z0 = evolve(grid, ZeroNoise(), [t])[0]
 x = grid.positions()
 bulk = np.abs(x) <= 3.0
 oracle = heat_kernel(t, x[bulk]) * np.exp(-k * grid.dt / (2 * grid.dx))
 print(f"noise-free check: max rel err vs p_t * factor = "
-      f"{np.max(np.abs(f0.values[bulk] - oracle) / oracle):.2e}")
+      f"{np.max(np.abs(Z0[bulk] - oracle) / oracle):.2e}")
 
 p_full = heat_kernel(t, x)
 acc = np.zeros(grid.cell_count)
 acc2 = np.zeros(grid.cell_count)
 for rep in range(M):
-    g = evolve(grid, NoiseStream(42, rep), [t])[0].values / p_full
+    g = evolve(grid, NoiseStream(42, rep), [t])[0] / p_full
     acc += g
     acc2 += g * g
 mean = acc / M

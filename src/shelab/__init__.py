@@ -16,12 +16,11 @@ __version__ = "0.1.0"
 from .kernels import (fourier_indicator, heat_kernel, kernel_product_identity,
                       kernel_shift_identity, log_heat_kernel)
 from .noise import NoiseStream, ZeroNoise
-from .sim import (Field, GridSpec, HeightResidual, default_grid, evolve,
-                  heat_step, height_residual, init_dirac, noise_step)
+from .sim import GridSpec, default_grid, evolve, heat_step, noise_step
 from .green import (ShiftIdentityCheck, evolve_shared, green_row_adjoint,
                     shift_identity_samples)
 from .stats import (CovarianceAccumulator, CovarianceEstimate, TestReport,
-                    estimate_height_covariance, fdd_covariance, ks_normality)
+                    fdd_covariance, ks_normality)
 from .oracles import (QuadratureResult, lemma_2, lemma_s0, lemma_twotime,
                       lemma_y, limiting_constant, reduced_cov_integral,
                       second_moment_volterra)

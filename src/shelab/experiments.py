@@ -49,9 +49,6 @@ __all__ = [
 CSV_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 
-KINDS = ("covariance", "clt", "fdd", "shift_check", "oracle_suite",
-         "diagnostics")
-
 _CHUNK = 64
 
 # acceptance bands mirrored into run-report verdicts
@@ -575,10 +572,9 @@ def _run_covariance(cfg: ExperimentConfig):
     lo, hi = cfg._bulk(grid)
     (rows,), wpos = _ensemble(cfg, grid, range(cfg.replicates), [k],
                               "absolute", lo, hi, log_residual)
-    ok = np.isfinite(rows)
     acc = CovarianceAccumulator(wpos)
-    for rid, (row, valid) in enumerate(zip(rows, ok)):
-        acc.add(rid, row, valid)
+    for rid, row in enumerate(rows):
+        acc.add(rid, row)
     est = acc.finalize(t, cfg.lags)
 
     tables = {"covariance": [
@@ -620,6 +616,7 @@ def _run_covariance(cfg: ExperimentConfig):
     lattice_profile = (discrete_kernel_log(grid, k)[grid.window(lo, hi)]
                        - math.log(grid.dx) - log_heat_kernel(t, wpos))
     vals = rows - lattice_profile[None, :]
+    ok = np.isfinite(rows)
     ks_rows = []
     min_p = 1.0
     for (x1, x2) in pairs:
@@ -892,6 +889,8 @@ _DRIVERS = {
     "oracle_suite": _run_oracle_suite,
     "diagnostics": _run_diagnostics,
 }
+
+KINDS = tuple(_DRIVERS)
 
 
 def run(config: ExperimentConfig) -> RunReport:

@@ -14,9 +14,10 @@ One time step is (exact-in-law to first order, positivity preserving):
   2. noise_step: multiply cell j by exp(sqrt(dt/dx) xi_j - dt/(2 dx)), the
      mean-one lognormal increment of the Ito multiplicative term on one cell.
 
-Fields are plain arrays of Z values.  For probes far outside the diffusive
-scale (|x| >> sqrt(t)), Z underflows while Z/p_t stays O(1); the internal
-batch engine has a kernel-relative mode for that regime (see _BatchEngine).
+The reference path runs on plain rows of Z values.  For probes far outside
+the diffusive scale (|x| >> sqrt(t)), Z underflows while Z/p_t stays O(1);
+the internal batch engine has a kernel-relative mode for that regime (see
+_BatchEngine).
 
 The batch engine's step keeps the bits of the plain step above, on every
 cell a consumer may read, while it
@@ -74,13 +75,9 @@ from .noise import _FastNormals
 
 __all__ = [
     "GridSpec",
-    "Field",
-    "HeightResidual",
-    "init_dirac",
     "heat_step",
     "noise_step",
     "evolve",
-    "height_residual",
     "log_residual",
     "heat_step_weights",
     "discrete_kernel_log",
@@ -164,29 +161,6 @@ def default_grid(dx, half_width) -> GridSpec:
     return GridSpec(dx=dx, half_width=half_width, dt=dx * dx / 2)
 
 
-@dataclass
-class Field:
-    """One time slice of Z on the grid."""
-
-    grid: GridSpec
-    time: float
-    values: np.ndarray
-
-
-@dataclass
-class HeightResidual:
-    """r(x) = log Z(t,x) - log p_t(x); NaN where Z underflowed to 0."""
-
-    grid: GridSpec
-    time: float
-    values: np.ndarray
-    valid: np.ndarray
-
-    @property
-    def invalid_count(self) -> int:
-        return int((~self.valid).sum())
-
-
 @lru_cache(maxsize=32)
 def heat_step_weights(dx: float, dt: float) -> np.ndarray:
     """Positive convolution weights for one heat half-step.
@@ -216,30 +190,18 @@ def heat_step_weights(dx: float, dt: float) -> np.ndarray:
     return w
 
 
-def init_dirac(grid: GridSpec) -> Field:
-    """Dirac mass at the origin: 1/dx at the cell nearest 0, zero elsewhere."""
-    values = np.zeros(grid.cell_count)
-    values[grid.origin_index] = 1.0 / grid.dx
-    return Field(grid=grid, time=0.0, values=values)
+def heat_step(grid: GridSpec, Z) -> np.ndarray:
+    """Advance the deterministic heat flow of the row Z by one dt."""
+    return convolve1d(Z, heat_step_weights(grid.dx, grid.dt), mode="constant",
+                      cval=0.0)
 
 
-def heat_step(field: Field) -> Field:
-    """Advance the deterministic heat flow by one dt."""
-    g = field.grid
-    w = heat_step_weights(g.dx, g.dt)
-    out = convolve1d(field.values, w, mode="constant", cval=0.0)
-    return Field(grid=g, time=field.time + g.dt, values=out)
-
-
-def noise_step(field: Field, xi) -> Field:
+def noise_step(grid: GridSpec, Z, xi) -> np.ndarray:
     """Apply the mean-one multiplicative noise factor of the standard normals
-    xi (one per cell); time is unchanged."""
-    g = field.grid
-    if xi.shape != field.values.shape:
-        raise ValueError(
-            f"noise length {xi.shape} does not match grid {field.values.shape}"
-        )
-    return Field(grid=g, time=field.time, values=field.values * noise_factors(g, xi))
+    xi (one per cell) to the row Z."""
+    if xi.shape != Z.shape:
+        raise ValueError(f"noise length {xi.shape} does not match grid {Z.shape}")
+    return Z * noise_factors(grid, xi)
 
 
 def noise_factors(grid: GridSpec, xi, out=None) -> np.ndarray:
@@ -250,8 +212,9 @@ def noise_factors(grid: GridSpec, xi, out=None) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def evolve(grid: GridSpec, stream, t_checkpoints) -> list[Field]:
-    """Evolve Dirac data, alternating heat_step and noise_step.
+def evolve(grid: GridSpec, stream, t_checkpoints) -> np.ndarray:
+    """Evolve Dirac data (1/dx at the origin cell), alternating heat_step and
+    noise_step; returns Z with one row per checkpoint.
 
     Checkpoint times must be positive multiples of dt.  `stream` is anything
     with a .normals(step_index, cell_count) method (NoiseStream, ZeroNoise).
@@ -263,24 +226,14 @@ def evolve(grid: GridSpec, stream, t_checkpoints) -> list[Field]:
     if sorted(ks) != ks:
         raise ValueError("checkpoints must be ascending")
     want = set(ks)
-    f = init_dirac(grid)
-    out = {}
+    Z = np.zeros(grid.cell_count)
+    Z[grid.origin_index] = 1.0 / grid.dx
+    rows = {}
     for k in range(max(ks)):
-        f = heat_step(f)
-        f = noise_step(f, stream.normals(k, grid.cell_count))
+        Z = noise_step(grid, heat_step(grid, Z), stream.normals(k, grid.cell_count))
         if k + 1 in want:
-            out[k + 1] = Field(grid=grid, time=f.time, values=f.values.copy())
-    return [out[k] for k in ks]
-
-
-def height_residual(field: Field) -> HeightResidual:
-    """r(x) = log Z - log p_t(x) with underflowed cells masked invalid."""
-    if field.time <= 0.0:
-        raise ValueError("height residual requires time > 0")
-    valid = field.values > 0.0
-    vals = log_residual(field.values, field.time, field.grid.positions())
-    vals[~valid] = np.nan
-    return HeightResidual(grid=field.grid, time=field.time, values=vals, valid=valid)
+            rows[k + 1] = Z
+    return np.stack([rows[k] for k in ks])
 
 
 def log_residual(Z, t, x):

@@ -28,7 +28,6 @@ __all__ = [
     "CovarianceEstimate",
     "TestReport",
     "CovarianceAccumulator",
-    "estimate_height_covariance",
     "mean_se",
     "spatial_averages",
     "ks_normality",
@@ -76,9 +75,10 @@ class TestReport:
 class CovarianceAccumulator:
     """Accumulator of residual rows over a common bulk window.
 
-    add() stores one replicate's residual values on the window (with a
-    validity mask); merge() unions disjoint replicate sets; finalize()
-    computes the translate-averaged covariance at the requested lags.
+    add() stores one replicate's residual values on the window (its finite
+    cells are the valid ones); merge() unions disjoint replicate sets;
+    finalize() computes the translate-averaged covariance at the requested
+    lags.
     Centering uses the per-cell ensemble mean, which makes the estimate
     exactly invariant to adding any deterministic profile f(x).
     """
@@ -87,15 +87,13 @@ class CovarianceAccumulator:
         self.positions = np.asarray(window_positions, dtype=float)
         self._rows = {}
 
-    def add(self, replicate_id: int, values: np.ndarray, valid=None):
+    def add(self, replicate_id: int, values: np.ndarray):
         if replicate_id in self._rows:
             raise ValueError(f"duplicate replicate_id {replicate_id}")
         values = np.asarray(values, dtype=float)
         if values.shape != self.positions.shape:
             raise ValueError("row length does not match the window")
-        if valid is None:
-            valid = np.isfinite(values)
-        self._rows[replicate_id] = (values, np.asarray(valid, dtype=bool))
+        self._rows[replicate_id] = (values, np.isfinite(values))
 
     def merge(self, other: "CovarianceAccumulator") -> "CovarianceAccumulator":
         if not np.array_equal(self.positions, other.positions):
@@ -150,26 +148,6 @@ class CovarianceAccumulator:
             cov[i], se[i] = (v * bessel for v in mean_se(per_rep))
             neff[i] = m * max(1.0, (span - lag) / _DECORRELATION_LENGTH)
         return CovarianceEstimate(t=t, lags=lags, cov=cov, se=se, n_effective=neff)
-
-
-def estimate_height_covariance(residuals, t: float, lags, bulk_window) -> CovarianceEstimate:
-    """Translate-averaged spatial covariance of the height residual.
-
-    residuals: sequence of HeightResidual replicates (or (values, valid)
-    pairs on a shared grid).  bulk_window is (lo, hi) in position units.
-    Covariance of h equals covariance of r exactly: the two differ by the
-    deterministic profile log p_t, which per-cell centering removes.
-    """
-    grid = residuals[0].grid
-    sel = grid.window(*bulk_window)
-    if not sel.size:
-        raise ValueError("empty bulk window")
-    acc = CovarianceAccumulator(grid.positions()[sel])
-    for i, r in enumerate(residuals):
-        if abs(r.time - t) > 1e-9:
-            raise ValueError("residual ensemble mixes times")
-        acc.add(i, r.values[sel], r.valid[sel])
-    return acc.finalize(t, lags)
 
 
 def spatial_averages(rows, positions, dx: float, N: float) -> np.ndarray:

@@ -17,8 +17,9 @@ measured values and the analysis live in the failing tests' output:
     tail: noise at source times s ~ 4t^2/x^2 below dt = dx^2/2 is not
     resolved, so at dx = 0.1 the tail is lost past x* ~ 2 sqrt(2) t/dx ~ 28.
     The lattice first-chaos ratio, with the driver's trapezoid weights,
-    falls the same way (0.654 -> 0.537), while the continuum first chaos
-    rises (0.756 -> 0.815).
+    falls the same way (0.654 -> 0.537), while the exact continuum first
+    chaos rises (0.827 -> 0.867); the paper's lemma integral,
+    lemma_twotime(1, 1, N)/2, rises too (0.756 -> 0.815).
 """
 
 import math
@@ -30,7 +31,7 @@ import pytest
 from shelab.experiments import ExperimentConfig, run
 from shelab.kernels import heat_kernel, kernel_product_identity, kernel_shift_identity
 from shelab.noise import ZeroNoise
-from shelab.sim import default_grid, evolve, heat_step, init_dirac
+from shelab.sim import default_grid, evolve
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -138,11 +139,11 @@ def test_criterion_02_noise_free_regression():
     for dx in (0.05, 0.025):
         g = default_grid(dx, 20.0)
         k = g.step_of(1.0)
-        f = evolve(g, ZeroNoise(), [1.0])[0]
+        Z = evolve(g, ZeroNoise(), [1.0])[0]
         x = g.positions()
         m = np.abs(x) <= 4.0
         oracle = heat_kernel(1.0, x[m]) * math.exp(-k * g.dt / (2 * g.dx))
-        errs[dx] = float(np.max(np.abs(f.values[m] - oracle) / oracle))
+        errs[dx] = float(np.max(np.abs(Z[m] - oracle) / oracle))
     order = math.log2(errs[0.05] / errs[0.025])
     ok = errs[0.05] <= 1e-3 and order >= 1.0
     assert _report(2, ok, f"max rel err {errs[0.05]:.2e} at dx=0.05, "
@@ -191,7 +192,8 @@ def test_criterion_06_clt_variance_band(clt_report):
                    reason="lattice cutoff of the t/x covariance tail past "
                           "x* ~ 2 sqrt(2) t/dx ~ 28: the lattice first-chaos "
                           "ratio falls 0.654 -> 0.537 from N=50 to N=200 "
-                          "while the continuum one rises 0.756 -> 0.815 "
+                          "while the exact continuum one rises 0.827 -> "
+                          "0.867 (the lemma integral: 0.756 -> 0.815) "
                           "(see module docstring)")
 def test_criterion_06_clt_variance_trend(clt_report):
     v = _verdict_of(clt_report, "shrinks")

@@ -19,3 +19,14 @@ def test_demo_imports_exist(path):
             for a in node.names:
                 if a.name.split(".")[0] == "shelab":
                     importlib.import_module(a.name)
+
+
+MODULES = sorted(p.stem for p in (Path(__file__).resolve().parent.parent
+                                  / "src" / "shelab").glob("*.py")
+                 if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_names_resolve(name):
+    # `from shelab.<module> import *` raises on a stale __all__ entry
+    exec(f"from shelab.{name} import *", {})

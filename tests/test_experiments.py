@@ -225,14 +225,18 @@ def test_validation_rejects_n_outside_noise_cone():
 
 def test_covariance_table_matches_estimator_on_reference_fields():
     from shelab.noise import NoiseStream
-    from shelab.sim import evolve, height_residual
-    from shelab.stats import estimate_height_covariance
+    from shelab.sim import evolve, log_residual
+    from shelab.stats import CovarianceAccumulator
 
     cfg = _tiny_cov_cfg()
     grid, t = cfg.grid(), cfg.times[-1]
-    residuals = [height_residual(evolve(grid, NoiseStream(cfg.master_seed, r), [t])[0])
-                 for r in range(cfg.replicates)]
-    est = estimate_height_covariance(residuals, t, cfg.lags, cfg.bulk_window)
+    window = grid.window(*cfg.bulk_window)
+    x = grid.positions()[window]
+    acc = CovarianceAccumulator(x)
+    for r in range(cfg.replicates):
+        Z = evolve(grid, NoiseStream(cfg.master_seed, r), [t])[0]
+        acc.add(r, log_residual(Z[window], grid.step_of(t) * grid.dt, x))
+    est = acc.finalize(t, cfg.lags)
     table = run(cfg).tables["covariance"]
     assert table == [["height_cov", t, lag, c, s, n]
                      for lag, c, s, n in zip(est.lags, est.cov, est.se, est.n_effective)]

@@ -8,7 +8,7 @@ from shelab.green import (ShiftIdentityCheck, _adjoint, _forward, evolve_shared,
                           green_row_adjoint, shift_identity_samples)
 from shelab.kernels import heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise
-from shelab.sim import GridSpec, default_grid, evolve, heat_step, init_dirac
+from shelab.sim import GridSpec, default_grid, evolve, heat_step
 from shelab.stats import mean_se
 
 
@@ -22,7 +22,7 @@ def test_origin_source_reproduces_sim_evolve(grid):
     g = evolve_shared(grid, stream, [(0.0, 0.0)], 0.25)
     ref = evolve(grid, stream, [0.25])[0]
     assert g.shape == (1, grid.cell_count)
-    assert np.array_equal(g[0], ref.values)
+    assert np.array_equal(g[0], ref)
 
 
 def test_duplicate_sources_bit_identical(grid):
@@ -49,13 +49,12 @@ def test_source_validation(grid):
 def test_noise_free_source_matches_heat_flow(grid):
     s, y, t = 0.1, 0.5, 0.3
     g = evolve_shared(grid, ZeroNoise(), [(s, y)], t)[0]
-    f = init_dirac(grid)
-    f.values[:] = 0.0
-    f.values[grid.index_of(y)] = 1.0 / grid.dx
+    Z = np.zeros(grid.cell_count)
+    Z[grid.index_of(y)] = 1.0 / grid.dx
     ksteps = grid.step_of(t) - grid.step_of(s)
     for _ in range(ksteps):
-        f = heat_step(f)
-    oracle = f.values * np.exp(-ksteps * grid.dt / (2 * grid.dx))
+        Z = heat_step(grid, Z)
+    oracle = Z * np.exp(-ksteps * grid.dt / (2 * grid.dx))
     nz = oracle > 0
     assert np.max(np.abs(g[nz] - oracle[nz]) / oracle[nz]) <= 1e-12
 
@@ -98,7 +97,7 @@ def test_gbar_per_replicate_matches_she_ratio(grid):
     g = evolve_shared(grid, stream, [(0.0, 0.0)], t)[0]
     z = evolve(grid, stream, [t])[0]
     x = grid.positions()
-    assert np.allclose(_gbar(g, t, x), z.values / heat_kernel(t, x),
+    assert np.allclose(_gbar(g, t, x), z / heat_kernel(t, x),
                        rtol=1e-13, atol=0.0)
 
 

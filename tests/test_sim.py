@@ -1,14 +1,22 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 from shelab.kernels import heat_kernel, log_heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise, _FastNormals
-from shelab.sim import (Field, GridSpec, _BatchEngine, default_grid,
+from shelab.sim import (GridSpec, _BatchEngine, default_grid,
                         discrete_kernel_log, evolve, heat_step, heat_step_weights,
-                        height_residual, init_dirac, noise_step, read_radius,
+                        log_residual, noise_step, read_radius,
                         tilted_variance_ratio, underflow_radius)
+
+
+def _dirac(g):
+    """Dirac data: 1/dx at the origin cell, zero elsewhere."""
+    Z = np.zeros(g.cell_count)
+    Z[g.origin_index] = 1.0 / g.dx
+    return Z
 
 
 def test_gridspec_basics():
@@ -20,17 +28,6 @@ def test_gridspec_basics():
         GridSpec(dx=0.1, half_width=1.0, dt=0.02)   # dt > dx^2
     with pytest.raises(ValueError):
         GridSpec(dx=0.1, half_width=0.05, dt=0.005)  # < 3 cells
-
-
-def test_init_dirac_examples():
-    g = GridSpec(dx=0.1, half_width=1.0, dt=0.005)
-    f = init_dirac(g)
-    assert f.values[10] == 10.0
-    assert np.count_nonzero(f.values) == 1
-    assert f.values.sum() * g.dx == 1.0
-    g2 = default_grid(0.05, 20.0)
-    f2 = init_dirac(g2)
-    assert f2.values.sum() * g2.dx == 1.0
 
 
 def test_heat_weights_are_positive_mass_one_variance_exact():
@@ -45,48 +42,45 @@ def test_heat_weights_are_positive_mass_one_variance_exact():
 
 def test_heat_step_zero_and_constant_fields():
     g = GridSpec(dx=0.1, half_width=2.0, dt=0.005)
-    zero = Field(grid=g, time=0.0, values=np.zeros(g.cell_count))
-    assert np.all(heat_step(zero).values == 0.0)
-    const = Field(grid=g, time=0.0, values=np.full(g.cell_count, 2.5))
-    out = heat_step(const)
+    assert np.all(heat_step(g, np.zeros(g.cell_count)) == 0.0)
+    out = heat_step(g, np.full(g.cell_count, 2.5))
     # cells at least `half` taps from the Dirichlet-zero edge see no edge
     half = len(heat_step_weights(g.dx, g.dt)) // 2
     assert 0 < half < g.cell_count // 2
-    assert np.allclose(out.values[half:-half], 2.5, rtol=1e-14)
-    assert out.values[0] < 2.5 and out.values[-1] < 2.5
-    assert out.time == pytest.approx(g.dt)
+    assert np.allclose(out[half:-half], 2.5, rtol=1e-14)
+    assert out[0] < 2.5 and out[-1] < 2.5
 
 
 def test_heat_step_mass_conservation_and_positivity():
     # wide enough for the truncation rule at t = 50 dt: no mass reaches the edge
     gw = GridSpec(dx=0.1, half_width=4.0, dt=0.005)
     assert gw.covers(50 * gw.dt, 0.0)
-    f = init_dirac(gw)
+    Z = _dirac(gw)
     for _ in range(50):
-        f = heat_step(f)
-    assert f.values.min() >= 0.0
-    assert f.values.sum() * gw.dx == pytest.approx(1.0, rel=1e-12)
+        Z = heat_step(gw, Z)
+    assert Z.min() >= 0.0
+    assert Z.sum() * gw.dx == pytest.approx(1.0, rel=1e-12)
     gd = GridSpec(dx=0.1, half_width=2.0, dt=0.005)
-    f = init_dirac(gd)
-    masses = [f.values.sum() * gd.dx]
+    Z = _dirac(gd)
+    masses = [Z.sum() * gd.dx]
     for _ in range(400):
-        f = heat_step(f)
-        masses.append(f.values.sum() * gd.dx)
+        Z = heat_step(gd, Z)
+        masses.append(Z.sum() * gd.dx)
     assert all(b <= a + 1e-15 for a, b in zip(masses, masses[1:]))
-    assert f.values.min() >= 0.0
+    assert Z.min() >= 0.0
 
 
 def test_heat_step_dirac_matches_gaussian_with_refinement_order():
     errs = {}
     for dx in (0.05, 0.025):
         g = default_grid(dx, 20.0)
-        f = init_dirac(g)
+        Z = _dirac(g)
         for _ in range(g.step_of(1.0)):
-            f = heat_step(f)
+            Z = heat_step(g, Z)
         x = g.positions()
         m = np.abs(x) <= 4.0
         p = heat_kernel(1.0, x[m])
-        errs[dx] = np.max(np.abs(f.values[m] - p) / p)
+        errs[dx] = np.max(np.abs(Z[m] - p) / p)
     assert errs[0.05] < 1e-3
     order = np.log2(errs[0.05] / errs[0.025])
     assert order >= 1.0
@@ -94,16 +88,15 @@ def test_heat_step_dirac_matches_gaussian_with_refinement_order():
 
 def test_noise_step_formula_and_errors():
     g = GridSpec(dx=0.1, half_width=1.0, dt=0.005)
-    f = init_dirac(g)
-    out = noise_step(f, ZeroNoise().normals(0, g.cell_count))
+    Z = _dirac(g)
+    out = noise_step(g, Z, ZeroNoise().normals(0, g.cell_count))
     factor = np.exp(-g.dt / (2 * g.dx))
     assert factor < 1.0
-    assert np.allclose(out.values, f.values * factor, rtol=1e-15)
-    assert out.time == f.time
-    zero = Field(grid=g, time=0.0, values=np.zeros(g.cell_count))
-    assert np.all(noise_step(zero, NoiseStream(1, 0).normals(0, g.cell_count)).values == 0.0)
+    assert np.allclose(out, Z * factor, rtol=1e-15)
+    zero = np.zeros(g.cell_count)
+    assert np.all(noise_step(g, zero, NoiseStream(1, 0).normals(0, g.cell_count)) == 0.0)
     with pytest.raises(ValueError):
-        noise_step(f, NoiseStream(1, 0).normals(0, g.cell_count - 1))
+        noise_step(g, Z, NoiseStream(1, 0).normals(0, g.cell_count - 1))
 
 
 def test_noise_factor_mean_one():
@@ -119,12 +112,11 @@ def test_noise_factor_mean_one():
 def test_evolve_zero_noise_matches_heat_flow_times_splitting_factor():
     g = default_grid(0.1, 5.0)
     k = g.step_of(0.5)
-    fields = evolve(g, ZeroNoise(), [0.5])
-    f = init_dirac(g)
+    got = evolve(g, ZeroNoise(), [0.5])[0]
+    Z = _dirac(g)
     for _ in range(k):
-        f = heat_step(f)
-    oracle = f.values * np.exp(-k * g.dt / (2 * g.dx))
-    got = fields[0].values
+        Z = heat_step(g, Z)
+    oracle = Z * np.exp(-k * g.dt / (2 * g.dx))
     nz = oracle > 0
     assert np.max(np.abs(got[nz] - oracle[nz]) / oracle[nz]) <= 1e-12
     assert np.array_equal(got == 0.0, oracle == 0.0)
@@ -134,8 +126,9 @@ def test_evolve_deterministic_and_validates_checkpoints():
     g = default_grid(0.1, 2.0)
     a = evolve(g, NoiseStream(3, 1), [0.05, 0.1])
     b = evolve(g, NoiseStream(3, 1), [0.05, 0.1])
-    assert np.array_equal(a[0].values, b[0].values)
-    assert np.array_equal(a[1].values, b[1].values)
+    assert a.shape == (2, g.cell_count)
+    assert np.array_equal(a, b)
+    assert np.array_equal(evolve(g, NoiseStream(3, 1), [0.1])[0], a[1])
     with pytest.raises(ValueError):
         evolve(g, NoiseStream(3, 1), [0.0501])
     with pytest.raises(ValueError):
@@ -146,34 +139,29 @@ def test_evolve_deterministic_and_validates_checkpoints():
 
 def test_positivity_from_dirac_data():
     g = default_grid(0.1, 3.0)
-    fields = evolve(g, NoiseStream(17, 5), [0.2, 0.45])
-    for f in fields:
-        assert f.values.min() >= 0.0
+    assert evolve(g, NoiseStream(17, 5), [0.2, 0.45]).min() >= 0.0
 
 
-def test_height_residual_contracts():
-    g = default_grid(0.1, 3.0)
-    x = g.positions()
-    vals = heat_kernel(0.5, x)
-    r = height_residual(Field(grid=g, time=0.5, values=vals.copy()))
-    assert np.allclose(r.values[r.valid], 0.0, atol=1e-12)
-    vals2 = vals.copy()
-    vals2[0] = 0.0
-    r2 = height_residual(Field(grid=g, time=0.5, values=vals2))
-    assert not r2.valid[0] and r2.invalid_count == 1
-    assert np.isnan(r2.values[0]) and np.isfinite(r2.values[1:]).all()
-    with pytest.raises(ValueError):
-        height_residual(init_dirac(g))
+def test_log_residual_contracts():
+    # 0 on p_t itself, -inf where Z = 0, NaN where Z < 0, and no warning
+    x = default_grid(0.1, 3.0).positions()
+    Z = heat_kernel(0.5, x)
+    Z[0], Z[1] = 0.0, -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = log_residual(Z, 0.5, x)
+    assert np.allclose(r[2:], 0.0, atol=1e-12)
+    assert r[0] == -np.inf
+    assert np.isnan(r[1])
 
 
 def test_noise_free_residual_is_flat():
     g = default_grid(0.05, 8.0)
     k = g.step_of(1.0)
-    f = evolve(g, ZeroNoise(), [1.0])[0]
-    r = height_residual(f)
+    r = log_residual(evolve(g, ZeroNoise(), [1.0])[0], 1.0, g.positions())
     m = np.abs(g.positions()) <= 4.0
     expected = -k * g.dt / (2 * g.dx)
-    assert np.max(np.abs(r.values[m] - expected)) <= 1e-3
+    assert np.max(np.abs(r[m] - expected)) <= 1e-3
 
 
 def test_batch_engine_absolute_matches_public_evolve():
@@ -183,7 +171,7 @@ def test_batch_engine_absolute_matches_public_evolve():
     eng.run([4, 9], [g.step_of(0.3)], lambda k, reps, Z: seen.update({r: Z[i].copy() for i, r in enumerate(reps)}))
     for rep in (4, 9):
         ref = evolve(g, NoiseStream(12, rep), [0.3])[0]
-        assert np.array_equal(seen[rep], ref.values)
+        assert np.array_equal(seen[rep], ref)
 
 
 def test_batch_engine_relative_agrees_with_absolute():
@@ -469,11 +457,11 @@ def test_absolute_engine_keeps_the_bits_of_evolve_inside_the_read_radius():
     ids = [0, 3, 7]
     rows = _checkpoint_rows(g, "absolute", ids, steps, window=window)
     for r, rep in enumerate(ids):
-        for t, k, f in zip(times, steps, evolve(g, NoiseStream(8, rep), times)):
+        for t, k, Z in zip(times, steps, evolve(g, NoiseStream(8, rep), times)):
             inside = window[np.abs(x[window]) <= read_radius(g, t)]
-            assert np.array_equal(rows[k][r, inside], f.values[inside]), (rep, t)
+            assert np.array_equal(rows[k][r, inside], Z[inside]), (rep, t)
             if k > 5:      # past the first 5 steps, R cuts the noise cone
-                assert np.any(f.values[np.abs(x) > underflow_radius(g, t)] > 0.0)
+                assert np.any(Z[np.abs(x) > underflow_radius(g, t)] > 0.0)
     assert underflow_radius(g, times[-1]) < g.half_width
 
 
@@ -506,9 +494,10 @@ def test_advance_logK_on_a_cell_range_matches_full_call():
 
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
 def test_run_leaves_the_ufunc_buffer_size_as_it_found_it(mode):
-    # the engine shrinks numpy's ufunc buffer for its tap loop and noise
-    # multiply only; the consumer runs with the caller's size, and the size
-    # is restored after a normal return and after a consume that raises
+    # the engine shrinks numpy's ufunc buffer only for the noise factors
+    # (both modes) and the absolute mode's noise multiply; the consumer runs
+    # with the caller's size, and the size is restored after a normal return
+    # and after a consume that raises
     g = default_grid(0.1, 2.0)
     old = np.setbufsize(4096)
     try:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from shelab.sim import GridSpec, Field, height_residual
-from shelab.kernels import heat_kernel
-from shelab.stats import (CovarianceAccumulator, estimate_height_covariance,
-                          fdd_covariance, ks_normality, spatial_averages)
+from shelab.sim import GridSpec
+from shelab.stats import (CovarianceAccumulator, fdd_covariance, ks_normality,
+                          spatial_averages)
 
 
 def _accumulate(rows, window, t=1.0, lags=(0.0, 0.5, 1.0, 2.0)):
@@ -95,20 +94,21 @@ def test_scale_equivariance():
     assert np.allclose(est2.cov, 9.0 * est1.cov, rtol=1e-12)
 
 
-def test_estimate_height_covariance_interface_and_errors():
-    grid = GridSpec(dx=0.5, half_width=4.0, dt=0.2)
-    x = grid.positions()
-    rng = np.random.default_rng(5)
-    residuals = []
-    for _ in range(20):
-        vals = heat_kernel(1.0, x) * np.exp(rng.standard_normal(x.size) * 0.1)
-        residuals.append(height_residual(Field(grid=grid, time=1.0, values=vals)))
-    est = estimate_height_covariance(residuals, 1.0, [0.0, 1.0], (-2.0, 2.0))
+def test_finalize_checks_lags_and_masks_non_finite_cells():
+    window = np.arange(-2, 2.01, 0.5)
+    rows = np.random.default_rng(5).standard_normal((20, window.size)) * 0.1
+    acc = CovarianceAccumulator(window)
+    for i, row in enumerate(rows):
+        acc.add(i, row)
+    est = acc.finalize(1.0, [0.0, 1.0])
     assert est.cov.shape == (2,)
-    with pytest.raises(ValueError):
-        estimate_height_covariance(residuals, 1.0, [0.7], (-2.0, 2.0))  # off-lattice lag
-    with pytest.raises(ValueError):
-        estimate_height_covariance(residuals, 1.0, [0.0], (10.0, 11.0))  # empty window
+    with pytest.raises(ValueError, match="not a multiple"):
+        acc.finalize(1.0, [0.7])                      # off-lattice lag
+    with pytest.raises(ValueError, match="exceeds"):
+        acc.finalize(1.0, [window.size * 0.5])        # lag past the window
+    # a non-finite cell (log Z of an underflowed Z) is masked, not averaged
+    rows[0, 3] = -np.inf
+    assert np.isfinite(_accumulate(rows, window, lags=(0.0, 1.0)).cov).all()
 
 
 def test_spatial_average_exact_cases():
