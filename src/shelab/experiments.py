@@ -191,6 +191,10 @@ class ExperimentConfig:
                     bad.append("fdd needs exactly two times")
                 if self.kind == "fdd" and len(self.n_values) > 1:
                     bad.append(f"fdd reads one N; n_values holds {len(self.n_values)}")
+                if (self.kind == "fdd" and _is_integer(self.replicates)
+                        and self.replicates < 3):
+                    bad.append("fdd needs replicates >= 3, the fewest pairs "
+                               "its jackknife SE takes")
                 if (self.kind == "clt" and _is_integer(self.replicates)
                         and self.replicates < KS_MIN_SAMPLES):
                     bad.append(f"clt needs replicates >= {KS_MIN_SAMPLES}, the "
@@ -448,6 +452,16 @@ class FitDecayResult:
     excluded: list
 
 
+def _fit_lags(cov, lag_window):
+    """(mask of the lags fit_decay fits, the lags of the window it drops for
+    a nonpositive covariance)."""
+    lo, hi = lag_window
+    sel = (cov.lags >= lo - 1e-9) & (cov.lags <= hi + 1e-9) & (cov.lags > 0)
+    sel &= cov.n_effective > 1
+    pos = cov.cov > 0
+    return sel & pos, [float(lag) for lag in cov.lags[sel & ~pos]]
+
+
 def fit_decay(cov, lag_window) -> FitDecayResult:
     """Weighted log-log fit of the covariance tail.
 
@@ -455,15 +469,9 @@ def fit_decay(cov, lag_window) -> FitDecayResult:
     b = 1 fit gives the constant c.  Lags with nonpositive covariance are
     excluded with a warning (possible at marginal signal-to-noise).
     """
-    lo, hi = lag_window
-    sel = (cov.lags >= lo - 1e-9) & (cov.lags <= hi + 1e-9) & (cov.lags > 0)
-    sel &= cov.n_effective > 1
-    excluded = []
-    pos = cov.cov > 0
-    for lag in cov.lags[sel & ~pos]:
-        excluded.append(float(lag))
+    sel, excluded = _fit_lags(cov, lag_window)
+    for lag in excluded:
         warnings.warn(f"fit_decay: dropping lag {lag} with nonpositive covariance")
-    sel &= pos
     if sel.sum() < 3:
         raise ValueError("fit_decay needs at least 3 usable lags in the window")
     x = np.log(cov.lags[sel])
@@ -591,19 +599,28 @@ def _run_covariance(cfg: ExperimentConfig):
                 {"x_cov_over_t": xc, "se": lag * est.se[i] / t}))
     fitres = None
     if cfg.fit_window:
-        fitres = fit_decay(est, tuple(cfg.fit_window))
-        verdicts.append(_verdict(
-            f"decay exponent in {BAND_EXPONENT}",
-            BAND_EXPONENT[0] <= fitres.exponent <= BAND_EXPONENT[1],
-            {"exponent": fitres.exponent, "ci": fitres.exponent_ci}))
-        verdicts.append(_verdict(
-            f"decay constant/t in {BAND_CONSTANT}",
-            BAND_CONSTANT[0] <= fitres.constant / t <= BAND_CONSTANT[1],
-            {"constant": fitres.constant, "ci": fitres.constant_ci}))
-        tables["fit"] = [
-            ("fit_constant", t, 1.0, fitres.constant, fitres.constant_ci / 1.96, fitres.n_used),
-            ("fit_exponent", t, 1.0, fitres.exponent, fitres.exponent_ci / 1.96, fitres.n_used),
-        ]
+        usable, excluded = _fit_lags(est, cfg.fit_window)
+        names = (f"decay exponent in {BAND_EXPONENT}",
+                 f"decay constant/t in {BAND_CONSTANT}")
+        if usable.sum() < 3:
+            # the validator can count only the window's lags; which of them
+            # have a positive covariance is known after the ensemble
+            short = {"usable_lags": int(usable.sum()), "excluded": excluded}
+            verdicts += [_verdict(name, False, short) for name in names]
+        else:
+            fitres = fit_decay(est, tuple(cfg.fit_window))
+            verdicts.append(_verdict(
+                names[0], BAND_EXPONENT[0] <= fitres.exponent <= BAND_EXPONENT[1],
+                {"exponent": fitres.exponent, "ci": fitres.exponent_ci}))
+            verdicts.append(_verdict(
+                names[1], BAND_CONSTANT[0] <= fitres.constant / t <= BAND_CONSTANT[1],
+                {"constant": fitres.constant, "ci": fitres.constant_ci}))
+            tables["fit"] = [
+                ("fit_constant", t, 1.0, fitres.constant, fitres.constant_ci / 1.96,
+                 fitres.n_used),
+                ("fit_exponent", t, 1.0, fitres.exponent, fitres.exponent_ci / 1.96,
+                 fitres.n_used),
+            ]
 
     # stationarity: two-sample KS across replicates at bulk position pairs.
     # The deterministic lattice mean profile log(K_k/dx) - log p_t (the

@@ -25,9 +25,10 @@ cell a consumer may read, while it
     (the relative step's sparse product allocates its data and result),
   * in relative mode, holds the state cell-major, one replicate per column,
     and runs the 23-tap step as one sparse product per step: row i of a CSR
-    matrix holds the tap weights whose source lies on the grid, in tap
-    order, and scipy's csr_matvecs sums them onto a zeroed result in that
-    order, which is the plain step's order,
+    matrix holds all 23 tap weights in tap order, a tap whose source lies
+    past the Dirichlet edge with weight exactly +0.0 on a clipped column,
+    and scipy's csr_matvecs sums them onto a zeroed result in that order,
+    which is the plain step's order,
   * restricts the taps and the noise multiply to the noise cone, the cells
     the kernel has reached: outside it every term is exactly +0.0, so each
     sum keeps its bits,
@@ -343,10 +344,10 @@ class _BatchEngine:
     cell-major (n, B) matrix.  The one-step weights of V are
     w_j K_k(x - j dx) / K_{k+1}(x), each <= 1 and summing to 1 per cell, so
     V stays O(1) over the whole noise cone and E[V] = 1 holds cell-wise
-    exactly; its heat step is one CSR product per step, whose pattern is
-    built once per engine.  The two modes consume identical noise, hand
-    `consume` (B, n) blocks, and agree on log Z wherever both
-    representations are finite.
+    exactly; its heat step is one CSR product per step, whose pattern, all
+    23 taps of every cell, is built once per engine.  The two modes consume
+    identical noise, hand `consume` (B, n) blocks, and agree on log Z
+    wherever both representations are finite.
     """
 
     def __init__(self, grid: GridSpec, master_seed: int, mode: str = "absolute",
@@ -369,28 +370,14 @@ class _BatchEngine:
                 raise ValueError(f"window must hold cell indices in [0, {self.n})")
             self._span = (int(w.min()), int(w.max()) + 1)
         if mode == "relative":
-            # the CSR pattern of one heat step on the whole grid: row i holds,
-            # in tap order, the taps idx whose source i + half - idx is on it
-            src = np.arange(self.n)[:, None] + self.half - np.arange(len(self.w))
-            self._tap_on = (src >= 0) & (src < self.n)
-            self._tap_cols = src[self._tap_on].astype(np.int32)
-            self._tap_ptr = np.zeros(self.n + 1, dtype=np.int32)
-            np.cumsum(self._tap_on.sum(axis=1), out=self._tap_ptr[1:])
-
-    def _taps(self, c0, c1):
-        """(idx, cols, dst, src) of each tap that writes a cell of [c0, c1):
-        tap idx, shift s = idx - half, moves cell i - s to cell i; dst are the
-        written cells, cols the same cells counted from c0.  Cells whose
-        source lies past the Dirichlet-zero edge are not written, and a tap
-        as long as the grid moves nothing."""
-        taps = []
-        for idx in range(len(self.w)):
-            s = idx - self.half
-            d0, d1 = max(c0, s), min(c1, self.n + s)
-            if d0 < d1:
-                taps.append((idx, slice(d0 - c0, d1 - c0), slice(d0, d1),
-                             slice(d0 - s, d1 - s)))
-        return taps
+            # the CSR pattern of one heat step on the whole grid: row i holds
+            # every tap idx in tap order, reading source i + half - idx
+            # clipped onto the grid; an off-grid tap's weight is exactly 0
+            taps = len(self.w)
+            src = np.arange(self.n)[:, None] + self.half - np.arange(taps)
+            self._tap_cols = np.clip(src, 0, self.n - 1).astype(np.int32)
+            self._tap_ptr = np.arange(0, taps * (self.n + 1), taps,
+                                      dtype=np.int32)
 
     def _domain(self, step, last):
         """Cells [c0, c1) of state step + 1 that the window can depend on at
@@ -412,15 +399,21 @@ class _BatchEngine:
         cells [c0, c1) (all cells by default); _LOG_FLOOR elsewhere.
 
         Returns log K_{k+1} and the (taps, c1 - c0) stack of
-        log(w_idx K_k(x - s dx)).  The taps are summed one row at a time, the
+        log(w_idx K_k(x - s dx)), s = idx - half.  Tap idx reads a slice of
+        logK padded with `half` _LOG_FLOOR cells on each side, so a source
+        past the Dirichlet-zero edge gives _LOG_FLOOR + log w_idx, which
+        rounds to _LOG_FLOOR.  The taps are summed one row at a time, the
         order numpy's axis-0 sum takes on a wide stack; on a one-cell stack
         that sum would go pairwise and change the bits.
         """
         c1 = self.n if c1 is None else c1
-        stack = np.full((len(self.w), c1 - c0), _LOG_FLOOR)
-        for idx, cols, _, src in self._taps(c0, c1):
-            stack[idx, cols] = logK[src]
-            stack[idx] += np.log(self.w[idx])
+        h = self.half
+        padded = np.full(self.n + 2 * h, _LOG_FLOOR)
+        padded[h:h + self.n] = logK
+        stack = np.empty((len(self.w), c1 - c0))
+        for idx in range(len(self.w)):
+            np.add(padded[c0 + 2 * h - idx:c1 + 2 * h - idx],
+                   np.log(self.w[idx]), out=stack[idx])
         m = stack.max(axis=0)
         dead = m <= _LOG_FLOOR / 2
         m_safe = np.where(dead, 0.0, m)
@@ -443,17 +436,17 @@ class _BatchEngine:
         and may hold stale values elsewhere outside [c0, c1).  V and the tap
         weights are exactly 0 outside the cone, so the dropped terms are +0.0.
         The step is one product out[c0:c1] = M @ V with a CSR matrix M that
-        holds, per row, the taps whose source lies on the grid in tap order;
-        scipy's csr_matvecs sums them in stored order onto a zeroed result,
-        so every cell sums w_idx V[src] in tap order from 0.0.
+        holds, per row, all taps in tap order; scipy's csr_matvecs sums them
+        in stored order onto a zeroed result, so every cell sums
+        w_idx V[src] in tap order from 0.0.  A tap whose source is off the
+        grid reads a clipped, finite V with weight exp(_LOG_FLOOR - log
+        K_{k+1}) = +0.0, which adds nothing inside the cone.
         """
         logK1, tw = self._advance_logK(logK, c0, c1)
         tw -= logK1[c0:c1]             # taps x cells [c0, c1), each <= 1
         np.exp(tw, out=tw)
-        ptr = self._tap_ptr
-        e0, e1 = ptr[c0], ptr[c1]
-        M = csr_array((tw.T[self._tap_on[c0:c1]], self._tap_cols[e0:e1],
-                       ptr[c0:c1 + 1] - e0), shape=(c1 - c0, self.n))
+        M = csr_array((tw.T.ravel(), self._tap_cols[c0:c1].ravel(),
+                       self._tap_ptr[:c1 - c0 + 1]), shape=(c1 - c0, self.n))
         out[c0:c1] = M @ V
         return logK1
 

@@ -189,6 +189,7 @@ def test_clt_and_fdd_report_the_tilted_variance_ratio(tmp_path):
     (_tiny_fdd_cfg, dict(n_values=[5.0, 10.0]), "fdd reads one N"),  # would use the first
     (_tiny_clt_cfg, dict(replicates=10), "replicates >= 50"),      # KS would raise after the run
     (_tiny_cov_cfg, dict(out_dir=5), "out_dir must be a string"),
+    (_tiny_fdd_cfg, dict(replicates=2), "fdd needs replicates >= 3"),  # NaN jackknife SE
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     make().validate()
@@ -349,6 +350,26 @@ def test_fit_decay_excludes_nonpositive_with_warning():
     assert fit.n_used == 3
     with pytest.raises(ValueError):
         fit_decay(est, (1.0, 2.0))   # fewer than 3 usable lags
+
+
+def test_covariance_fit_shortfall_fails_its_verdicts(tmp_path):
+    # the fit window holds 4 positive lags, so the config validates, but at
+    # 4 replicates lags 3, 4 and 5 estimate a nonpositive covariance and
+    # leave the fit 1 usable lag: both decay verdicts fail, and no fit is
+    # reported
+    cfg = ExperimentConfig(kind="covariance", master_seed=3, dx=0.1, half_width=10.0,
+                           times=[0.5], lags=[0.0, 3.0, 4.0, 5.0, 6.0],
+                           bulk_window=[-4.0, 4.0], fit_window=[3.0, 6.0],
+                           replicates=4, out_dir=str(tmp_path))
+    cfg.validate()
+    report = run(cfg)
+    decay = [v for v in report.verdicts if v["criterion"].startswith("decay ")]
+    assert len(decay) == 2 and not any(v["passed"] for v in decay)
+    assert all(v["detail"] == {"usable_lags": 1, "excluded": [3.0, 4.0, 5.0]}
+               for v in decay)
+    assert report.extras["fit"] is None and "fit" not in report.tables
+    assert not (tmp_path / "fit.csv").exists()
+    assert json.loads((tmp_path / "report.json").read_text())["extras"]["fit"] is None
 
 
 def test_partial_outputs_cleaned_on_write_failure(tmp_path, monkeypatch):

@@ -192,7 +192,8 @@ def test_batch_engine_relative_agrees_with_absolute():
 
 
 def test_relative_engine_log_z_pinned():
-    # bit-for-bit pin of the kernel-relative tap loops, edge cells included
+    # bit-for-bit pin of the kernel-relative step, the log-kernel step and
+    # the CSR product, edge cells included
     # (the noise cone covers the whole grid by t = 0.5)
     g = default_grid(0.1, 6.0)
     k = g.step_of(0.5)
@@ -276,9 +277,9 @@ def test_tilted_variance_ratio():
 
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
 def test_batch_engine_rows_do_not_depend_on_run_split(mode):
-    # rows 0..39 in one run, and in runs of 1 and of 17 rows (17 leaves a
-    # remainder after the relative tap loop's row blocks); the reused state
-    # buffers must neither leak between steps nor alias the stored copies
+    # rows 0..39 in one run, and in runs of 1 and of 17 rows (the last run
+    # holds 6); the reused state buffers must neither leak between steps
+    # nor alias the stored copies
     g = default_grid(0.1, 6.0)
     early, late = 2, g.step_of(0.1)      # the noise cone is partial at `early`
     ids = list(range(40))
@@ -344,10 +345,9 @@ def _checkpoint_rows(g, mode, ids, steps, window=None):
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
 def test_window_cells_keep_their_bits(mode):
     # the engine evolves only the domain of dependence of the window; every
-    # window cell equals the windowless engine's cell bit for bit.  19 rows
-    # leave a remainder after the relative tap loop's row blocks, the early
-    # checkpoint sees a partial noise cone, and the edge windows lie outside
-    # it at the early checkpoint
+    # window cell equals the windowless engine's cell bit for bit.  The
+    # early checkpoint sees a partial noise cone, and the edge windows lie
+    # outside it at the early checkpoint
     g = default_grid(0.1, 20.0)
     n, i0 = g.cell_count, g.origin_index
     steps = [8, 30]
