@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 
 from .experiments import ConfigError, ExperimentConfig, run
@@ -54,19 +55,37 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# keys _print_report reads; dotted keys are nested
-_REPORT_KEYS = ("config", "tables", "verdicts", "wallclock_s", "config.kind",
-                "config.master_seed")
+# the values _print_report reads and their types; dotted keys are nested
+_REPORT_KEYS = (("config", dict), ("tables", dict), ("verdicts", list),
+                ("wallclock_s", numbers.Real), ("config.kind", str),
+                ("config.master_seed", int))
+_VERDICT_KEYS = (("criterion", str), ("passed", bool), ("detail", dict))
+_TYPE_NAMES = {dict: "an object", list: "a list", numbers.Real: "a number",
+               str: "a string", int: "an integer", bool: "a boolean"}
 
 
-def _missing_report_key(report_dict):
-    """The first of _REPORT_KEYS that report_dict lacks, or None."""
-    for key in _REPORT_KEYS:
+def _report_problem(report_dict):
+    """Why _print_report cannot print report_dict, naming its first missing
+    or wrongly typed key, or None."""
+    for key, kind in _REPORT_KEYS:
         node = report_dict
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
-                return key
+                return f"no key '{key}'"
             node = node[part]
+        if not isinstance(node, kind):
+            return f"key '{key}' is not {_TYPE_NAMES[kind]}"
+    for name, rows in report_dict["tables"].items():
+        if not isinstance(rows, list):
+            return f"key 'tables.{name}' is not a list"
+    for i, verdict in enumerate(report_dict["verdicts"]):
+        if not isinstance(verdict, dict):
+            return f"key 'verdicts[{i}]' is not an object"
+        for part, kind in _VERDICT_KEYS:
+            if part not in verdict:
+                return f"no key 'verdicts[{i}].{part}'"
+            if not isinstance(verdict[part], kind):
+                return f"key 'verdicts[{i}].{part}' is not {_TYPE_NAMES[kind]}"
     return None
 
 
@@ -94,9 +113,9 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as e:
             print(f"{path}: not valid JSON: {e}", file=sys.stderr)
             return 2
-        missing = _missing_report_key(report_dict)
-        if missing is not None:
-            print(f"{path}: not a run report: no key '{missing}'", file=sys.stderr)
+        problem = _report_problem(report_dict)
+        if problem is not None:
+            print(f"{path}: not a run report: {problem}", file=sys.stderr)
             return 2
         _print_report(report_dict)
         return 0

@@ -12,6 +12,7 @@ disjoint from the estimation set.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -429,13 +430,14 @@ def _fmt(v) -> str:
 
 
 def write_csv(path, rows) -> None:
-    """rows: iterable of (series, t, lag_or_N, estimate, se, n_effective)."""
+    """rows: iterable of (series, t, lag_or_N, estimate, se, n_effective).
+    A field holding a comma (a shift series name) is double-quoted."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# shelab-csv v{CSV_SCHEMA_VERSION}\n")
-        fh.write("series,t,lag_or_N,estimate,se,n_effective\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["series", "t", "lag_or_N", "estimate", "se", "n_effective"])
         for series, t, key, est, se, neff in rows:
-            fh.write(",".join([series, _fmt(t), _fmt(key), _fmt(est),
-                               _fmt(se), _fmt(neff)]) + "\n")
+            out.writerow([series, _fmt(t), _fmt(key), _fmt(est), _fmt(se), _fmt(neff)])
 
 
 # ---------------------------------------------------------------------------

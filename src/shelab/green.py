@@ -1,13 +1,16 @@
 """Green's functions of the SHE propagated through one shared noise realization.
 
-A source (s, y) is the solution started from a Dirac mass at position y at
-time s; all sources of one replicate consume the identical noise slices, so
-ratios of their values estimate the shared-environment expectations directly.
+A source (s, y) is the solution started from a Dirac mass 1/dx at cell y
+just before step s.  All sources of one replicate take the same noise
+factors, read from one (steps, cell_count) table whose row k holds the
+factors of step k, so ratios of their values estimate the shared-environment
+expectations directly.
 
 Two propagation directions are used:
 
-  * forward: evolve delta_y from step k_s, probing the field at the final
-    time (one pass per source).
+  * forward: _forward sweeps every row of a (sources, cell_count) block over
+    a range of steps; a caller writes a source's Dirac mass into its zero
+    row before that source's first step.
   * adjoint: the one-replicate propagator is a product of symmetric
     convolutions and diagonal noise factors, so one backward pass from a
     probe cell yields G(t, x_probe; s, z) for *every* source position z at
@@ -38,8 +41,6 @@ from .stats import mean_se
 
 __all__ = [
     "ShiftIdentityCheck",
-    "evolve_shared",
-    "green_row_adjoint",
     "shift_identity_samples",
     "shift_window_cut",
 ]
@@ -72,29 +73,20 @@ class ShiftIdentityCheck:
         return math.hypot(self.lhs_se, self.rhs_se)
 
 
-def _stream_factors(grid, stream):
-    """factors(k): the noise factors of step k drawn from `stream`."""
-    return lambda k: noise_factors(grid, stream.normals(k, grid.cell_count))
-
-
-def _forward(grid, fields, starts, factors, k0, k1):
+def _forward(grid, fields, factors, k0, k1):
     """Advance the rows of `fields` from step k0 to step k1.
 
-    Row i receives its Dirac mass 1/dx at cell starts[i][1] just before step
-    starts[i][0]; rows not yet activated are identically zero, and both the
-    heat step and the noise step fix zero.  Every row takes the same noise
-    factors(k) at step k.  `fields` is overwritten: the steps alternate
-    between it and one spare buffer, and the result is either of the two.
+    Step k convolves every row with the heat step and multiplies it by the
+    noise factors factors[k].  A zero row stays zero, since both steps fix
+    zero.  `fields` is overwritten: the steps alternate between it and one
+    spare buffer, and the result is either of the two.
     """
     w = heat_step_weights(grid.dx, grid.dt)
     spare = np.empty_like(fields)
     for k in range(k0, k1):
-        for i, (ks, iy) in enumerate(starts):
-            if ks == k:
-                fields[i, iy] = 1.0 / grid.dx
         convolve1d(fields, w, axis=1, output=spare, mode="constant", cval=0.0)
         fields, spare = spare, fields
-        fields *= factors(k)[None, :]
+        fields *= factors[k]
     return fields
 
 
@@ -110,44 +102,10 @@ def _adjoint(grid, v, factors, k0, k1):
     v = v.copy()
     spare = np.empty_like(v)
     for k in range(k1 - 1, k0 - 1, -1):
-        v *= factors(k)
+        v *= factors[k]
         convolve1d(v, w, output=spare, mode="constant", cval=0.0)
         v, spare = spare, v
     return v
-
-
-def evolve_shared(grid: GridSpec, stream, sources, t_final: float) -> np.ndarray:
-    """Evolve every source through the same noise to t_final.
-
-    sources is a list of (s, y) pairs with s on the dt lattice, s < t_final,
-    and y on the dx lattice.  Returns the (len(sources), cell_count) array
-    whose row i is G(t_final, .; s_i, y_i).  A source at (0, 0) reproduces
-    sim.evolve bit-for-bit (identical operations on identical noise).
-    """
-    k_final = grid.step_of(t_final)
-    starts = []
-    for (s, y) in sources:
-        ks = grid.step_of(s)
-        if not 0 <= ks < k_final:
-            raise ValueError(f"source time {s} not in [0, t_final)")
-        starts.append((ks, grid.index_of(y)))
-    return _forward(grid, np.zeros((len(sources), grid.cell_count)), starts,
-                    _stream_factors(grid, stream), 0, k_final)
-
-
-def green_row_adjoint(grid: GridSpec, stream, x_probe: float,
-                      s: float, t: float) -> np.ndarray:
-    """G(t, x_probe; s, z) for every grid cell z, via one backward pass.
-
-    The requested values form the x_probe row of the forward propagator M
-    over [s, t], divided by dx, i.e. M^T e / dx.
-    """
-    ks, kt = grid.step_of(s), grid.step_of(t)
-    if not 0 <= ks < kt:
-        raise ValueError("need s < t on the dt lattice")
-    v = np.zeros(grid.cell_count)
-    v[grid.index_of(x_probe)] = 1.0
-    return _adjoint(grid, v, _stream_factors(grid, stream), ks, kt) / grid.dx
 
 
 def shift_window_cut(grid: GridSpec, t: float, s: float, x: float, y: float):
@@ -201,7 +159,6 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
         raise ValueError("probe configuration reaches heat-kernel underflow")
 
     rng = _FastNormals(master_seed)
-    starts = [(0, i0), (ks, iy)]        # row 0: source (0,0); row 1: (s,y)
     lhs_vals, rhs_vals = [], []
     dropped = 0
     words = np.empty((kt, n), dtype=np.uint64)
@@ -213,12 +170,15 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
             rng.fill_u53(words[k], rep, k)
         noise._uniforms_to_normals(words, out=factors)
         noise_factors(grid, factors, out=factors)
-        F = _forward(grid, np.zeros((2, n)), starts, factors.__getitem__, 0, ks)
+        F = np.zeros((2, n))            # row 0: source (0,0); row 1: (s,y)
+        F[0, i0] = 1.0 / grid.dx
+        F = _forward(grid, F, factors, 0, ks)
         zs = F[0, zy]                                    # Z_s(z + y)
-        F = _forward(grid, F, starts, factors.__getitem__, ks, kt)
+        F[1, iy] = 1.0 / grid.dx
+        F = _forward(grid, F, factors, ks, kt)
         den = F[0, ix]
         num = F[1, ix]
-        row = _adjoint(grid, e0, factors.__getitem__, ks, kt) / grid.dx
+        row = _adjoint(grid, e0, factors, ks, kt) / grid.dx
         gb_t = row[keep] / p_ts_z
         gb_s = zs / p_s_zy
         denom = float((w_gauss[keep] * gb_t * gb_s).sum() * grid.dx)

@@ -8,7 +8,8 @@ pure function of (master_seed, replicate_id, step_index, cell_index):
     counter word advances, so steps never collide for any realistic cell
     count.
   * One raw 64-bit Philox word per cell; its top 53 bits k give the
-    uniform (k + 1/2) 2^-53, mapped through the normal inverse CDF.  Only
+    uniform (k + 1/2) 2^-53 (1 - 2^-53 for k = 2^53 - 1, where k + 1/2
+    rounds up to 2^53), mapped through the normal inverse CDF.  Only
     the raw Philox stream of numpy is relied on, and no word is ever
     rejected, so the coordinate -> value map has no data-dependent stream
     consumption.
@@ -31,12 +32,16 @@ _INV53 = 2.0 ** -53
 
 def _uniforms_to_normals(u53, out=None):
     """Normals of the 53-bit integers u53, into `out` (float64, u53's shape)
-    when given: the same operations as ndtri((u53 + 0.5) * 2^-53) in place."""
-    # (k + 1/2) * 2^-53 lies strictly inside (0, 1): ndtri never hits +-inf
+    when given: the same operations as
+    ndtri(minimum(u53 + 0.5, 2^53 - 1) * 2^-53) in place."""
+    # k + 1/2 rounds to even for k = 2^53 - 1, to 2^53, whose uniform 1.0
+    # would give ndtri's +inf; the clamp maps that one word to 1 - 2^-53, so
+    # every uniform lies strictly inside (0, 1) and every normal is finite
     if out is None:
         out = np.empty(u53.shape)
     np.copyto(out, u53, casting="unsafe")
     out += 0.5
+    np.minimum(out, 2.0 ** 53 - 1, out=out)
     out *= _INV53
     return ndtri(out, out=out)
 

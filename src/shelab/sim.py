@@ -125,7 +125,9 @@ class GridSpec:
 
     @property
     def origin_index(self) -> int:
-        return int(np.argmin(np.abs(self.positions())))
+        """The first cell of least |x|: the exact zero cell for an odd
+        count, the cell at -dx/2 for an even one."""
+        return (self.cell_count - 1) // 2
 
     def index_of(self, x: float) -> int:
         """Grid index of a lattice position; rejects off-lattice probes."""

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -326,6 +327,16 @@ def test_csv_schema_format(tmp_path):
     assert lines[2].startswith("s,1,2,0.33333333333333331,")
 
 
+def test_shift_csv_rows_parse_into_the_header_fields(tmp_path):
+    # the shift series names hold a comma ("x=1,y=0.5"), so they are quoted
+    run(_tiny_shift_cfg(out_dir=str(tmp_path)))
+    with open(tmp_path / "shift.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["series", "t", "lag_or_N", "estimate", "se", "n_effective"]
+    assert [r[0] for r in rows[2:]] == ["shift_lhs_x=1,y=0.5", "shift_rhs_x=1,y=0.5"]
+    assert all(len(r) == 6 for r in rows[1:])
+
+
 def test_fit_decay_exact_models():
     lags = np.array([1.0, 2.0, 4.0, 8.0])
     est = CovarianceEstimate(t=1.0, lags=lags, cov=1.0 / lags,
@@ -493,6 +504,28 @@ def test_cli_report_without_run_report_keys_exits_2(tmp_path, capsys, body, key)
     assert rc == 2
     err = capsys.readouterr().err
     assert f"not a run report: no key '{key}'" in err and "Traceback" not in err
+
+
+_REPORT = {"config": {"kind": "clt", "master_seed": 1}, "tables": {"clt": []},
+           "verdicts": [{"criterion": "c", "passed": True, "detail": {}}],
+           "wallclock_s": 1.0}
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"wallclock_s": "fast"}, "key 'wallclock_s' is not a number"),
+    ({"tables": []}, "key 'tables' is not an object"),
+    ({"verdicts": [{"criterion": "c"}]}, "no key 'verdicts[0].passed'"),
+])
+def test_cli_report_with_wrongly_typed_values_exits_2(tmp_path, capsys, over, message):
+    # a run report whose values _print_report cannot print names the first
+    # bad key, with no traceback; the well-formed report prints
+    (tmp_path / "report.json").write_text(json.dumps(_REPORT))
+    assert cli_main(["report", "--out", str(tmp_path)]) == 0
+    (tmp_path / "report.json").write_text(json.dumps({**_REPORT, **over}))
+    rc = cli_main(["report", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"not a run report: {message}" in err and "Traceback" not in err
 
 
 def test_cli_config_file_takes_kind_from_subcommand(tmp_path, capsys):

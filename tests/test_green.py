@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from shelab.experiments import _gbar
-from shelab.green import (ShiftIdentityCheck, _adjoint, _forward, evolve_shared,
-                          green_row_adjoint, shift_identity_samples)
+from shelab.green import (ShiftIdentityCheck, _adjoint, _forward,
+                          shift_identity_samples)
 from shelab.kernels import heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise
-from shelab.sim import GridSpec, default_grid, evolve, heat_step
+from shelab.sim import GridSpec, default_grid, evolve, heat_step, noise_factors
 from shelab.stats import mean_se
 
 
@@ -17,41 +17,52 @@ def grid():
     return GridSpec(dx=0.1, half_width=5.0, dt=0.005)
 
 
+def _factor_table(grid, stream, kt):
+    """Row k: the noise factors of step k drawn from `stream`."""
+    n = grid.cell_count
+    return np.stack([noise_factors(grid, stream.normals(k, n)) for k in range(kt)])
+
+
+def _source_row(grid, factors, ks, iy, kt):
+    """G(t_kt, .; s_ks, y) from a one-row sweep over steps [ks, kt)."""
+    F = np.zeros((1, grid.cell_count))
+    F[0, iy] = 1.0 / grid.dx
+    return _forward(grid, F, factors, ks, kt)[0]
+
+
 def test_origin_source_reproduces_sim_evolve(grid):
     stream = NoiseStream(6, 2)
-    g = evolve_shared(grid, stream, [(0.0, 0.0)], 0.25)
+    kt = grid.step_of(0.25)
+    g = _source_row(grid, _factor_table(grid, stream, kt), 0, grid.origin_index, kt)
     ref = evolve(grid, stream, [0.25])[0]
-    assert g.shape == (1, grid.cell_count)
-    assert np.array_equal(g[0], ref)
-
-
-def test_duplicate_sources_bit_identical(grid):
-    a, b = evolve_shared(grid, NoiseStream(6, 0), [(0.0, 0.0), (0.0, 0.0)], 0.2)
-    assert np.array_equal(a, b)
+    assert g.shape == (grid.cell_count,)
+    assert np.array_equal(g, ref)
 
 
 def test_joint_vs_separate_evolution_identical(grid):
-    stream = NoiseStream(13, 1)
-    solo0 = evolve_shared(grid, stream, [(0.0, 0.0)], 0.3)
-    for s in (0.1, 0.105):          # source step even and odd
-        joint = evolve_shared(grid, stream, [(0.0, 0.0), (s, 0.5)], 0.3)
-        solo1 = evolve_shared(grid, stream, [(s, 0.5)], 0.3)
-        assert np.array_equal(joint, np.vstack([solo0, solo1]))
-
-
-def test_source_validation(grid):
-    with pytest.raises(ValueError):
-        evolve_shared(grid, NoiseStream(1, 0), [(0.303, 0.0)], 0.4)  # off lattice
-    with pytest.raises(ValueError):
-        evolve_shared(grid, NoiseStream(1, 0), [(0.4, 0.0)], 0.4)    # s == t_final
+    # the shift driver's two-row sweep: row 0 from (0, 0), row 1 written at
+    # step ks between the two sweeps; each row equals its one-row sweep
+    kt, i0, iy = grid.step_of(0.3), grid.origin_index, grid.index_of(0.5)
+    factors = _factor_table(grid, NoiseStream(13, 1), kt)
+    solo0 = _source_row(grid, factors, 0, i0, kt)
+    for ks in (20, 21):             # source step even and odd
+        F = np.zeros((2, grid.cell_count))
+        F[0, i0] = 1.0 / grid.dx
+        F = _forward(grid, F, factors, 0, ks)
+        F[1, iy] = 1.0 / grid.dx
+        F = _forward(grid, F, factors, ks, kt)
+        solo1 = _source_row(grid, factors, ks, iy, kt)
+        assert np.array_equal(F, np.vstack([solo0, solo1]))
 
 
 def test_noise_free_source_matches_heat_flow(grid):
     s, y, t = 0.1, 0.5, 0.3
-    g = evolve_shared(grid, ZeroNoise(), [(s, y)], t)[0]
+    ks, kt = grid.step_of(s), grid.step_of(t)
+    g = _source_row(grid, _factor_table(grid, ZeroNoise(), kt), ks,
+                    grid.index_of(y), kt)
     Z = np.zeros(grid.cell_count)
     Z[grid.index_of(y)] = 1.0 / grid.dx
-    ksteps = grid.step_of(t) - grid.step_of(s)
+    ksteps = kt - ks
     for _ in range(ksteps):
         Z = heat_step(grid, Z)
     oracle = Z * np.exp(-ksteps * grid.dt / (2 * grid.dx))
@@ -60,14 +71,15 @@ def test_noise_free_source_matches_heat_flow(grid):
 
 
 def test_adjoint_row_equals_forward_probes(grid):
-    stream = NoiseStream(21, 3)
-    s, t = 0.1, 0.35
-    row = green_row_adjoint(grid, stream, 0.7, s, t)
+    ks, kt = grid.step_of(0.1), grid.step_of(0.35)
+    factors = _factor_table(grid, NoiseStream(21, 3), kt)
+    ip = grid.index_of(0.7)
+    e = np.zeros(grid.cell_count)
+    e[ip] = 1.0
+    row = _adjoint(grid, e, factors, ks, kt) / grid.dx
     for y in (-0.4, 0.0, 0.7, 1.2):
-        fwd = evolve_shared(grid, stream, [(s, y)], t)[0]
-        a = row[grid.index_of(y)]
-        b = fwd[grid.index_of(0.7)]
-        assert a == pytest.approx(b, rel=1e-12)
+        fwd = _source_row(grid, factors, ks, grid.index_of(y), kt)
+        assert row[grid.index_of(y)] == pytest.approx(fwd[ip], rel=1e-12)
 
 
 def test_passes_leave_callers_arrays_unchanged(grid):
@@ -78,26 +90,21 @@ def test_passes_leave_callers_arrays_unchanged(grid):
     table_copy = table.copy()
     v = rng.uniform(0.0, 1.0, grid.cell_count)
     v_copy = v.copy()
-    out = _adjoint(grid, v, table.__getitem__, 3, len(table))
+    out = _adjoint(grid, v, table, 3, len(table))
     assert np.array_equal(v, v_copy) and not np.shares_memory(out, v)
-    assert np.array_equal(_adjoint(grid, v, table.__getitem__, 3, len(table)), out)
-    _forward(grid, np.zeros((2, grid.cell_count)),
-             [(0, grid.origin_index), (5, grid.index_of(0.5))],
-             table.__getitem__, 0, len(table))
+    assert np.array_equal(_adjoint(grid, v, table, 3, len(table)), out)
+    F = np.zeros((2, grid.cell_count))
+    F[:, grid.origin_index] = 1.0 / grid.dx
+    _forward(grid, F, table, 0, len(table))
     assert np.array_equal(table, table_copy)
-    stream = NoiseStream(21, 3)
-    row = green_row_adjoint(grid, stream, 0.7, 0.1, 0.35)
-    assert np.array_equal(green_row_adjoint(grid, stream, 0.7, 0.1, 0.35), row)
 
 
 def test_gbar_per_replicate_matches_she_ratio(grid):
-    # the drivers' normalization of the (0, 0) source row is Z(t, x) / p_t(x)
-    stream = NoiseStream(4, 7)
+    # the drivers' normalization of the Dirac-data field is Z(t, x) / p_t(x)
     t = 0.3
-    g = evolve_shared(grid, stream, [(0.0, 0.0)], t)[0]
-    z = evolve(grid, stream, [t])[0]
+    z = evolve(grid, NoiseStream(4, 7), [t])[0]
     x = grid.positions()
-    assert np.allclose(_gbar(g, t, x), z / heat_kernel(t, x),
+    assert np.allclose(_gbar(z, t, x), z / heat_kernel(t, x),
                        rtol=1e-13, atol=0.0)
 
 
@@ -106,7 +113,7 @@ def test_estimate_gbar_moment_mean_one():
     grid = GridSpec(dx=0.1, half_width=4.0, dt=0.005)
     t, x = 0.25, 0.5
     ix = grid.index_of(x)
-    vals = [_gbar(evolve_shared(grid, NoiseStream(3, r), [(0.0, 0.0)], t)[0, ix], t, x)
+    vals = [_gbar(evolve(grid, NoiseStream(3, r), [t])[0, ix], t, x)
             for r in range(400)]
     mean, se = mean_se(vals)
     assert 0.0 < se <= abs(mean)
@@ -181,8 +188,9 @@ def test_shift_samples_reject_a_cut_z_window():
 
 
 def test_shift_samples_match_public_passes(grid):
-    # both sides rebuilt from evolve_shared and green_row_adjoint on the same
-    # noise: the shift driver must be those passes, bit for bit
+    # both sides rebuilt from one-row forward sweeps and an adjoint pass on a
+    # factor table of NoiseStream draws: the shift driver must be those
+    # passes, bit for bit
     t, s, x, y, seed = 0.4, 0.2, 1.0, 0.5, 17
     lhs, rhs, dropped = shift_identity_samples(grid, range(5), t, s, x, y,
                                                master_seed=seed)
@@ -192,11 +200,15 @@ def test_shift_samples_match_public_passes(grid):
     keep = w > w.max() * 1e-12
     ix, i0 = grid.index_of(x), grid.origin_index
     zy = np.nonzero(keep)[0] + grid.index_of(y) - i0    # cells of z + y
+    ks, kt = grid.step_of(s), grid.step_of(t)
+    e0 = np.zeros(grid.cell_count)
+    e0[i0] = 1.0
     for rep in range(5):
-        stream = NoiseStream(seed, rep)
-        g0, gy = evolve_shared(grid, stream, [(0.0, 0.0), (s, y)], t)[:, ix]
-        z_s = evolve_shared(grid, stream, [(0.0, 0.0)], s)[0]
-        row = green_row_adjoint(grid, stream, 0.0, s, t)
+        factors = _factor_table(grid, NoiseStream(seed, rep), kt)
+        g0 = _source_row(grid, factors, 0, i0, kt)[ix]
+        gy = _source_row(grid, factors, ks, grid.index_of(y), kt)[ix]
+        z_s = _source_row(grid, factors, 0, i0, ks)
+        row = _adjoint(grid, e0, factors, ks, kt) / grid.dx
         lhs_ref = (gy / heat_kernel(t - s, x - y)) / (g0 / heat_kernel(t, x))
         gb_t = row[keep] / heat_kernel(t - s, z[keep])
         gb_s = z_s[zy] / heat_kernel(s, z[keep] + y)

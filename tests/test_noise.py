@@ -66,6 +66,18 @@ def test_no_infinite_values_possible():
     assert np.abs(x).max() < 9.0
 
 
+def test_top_word_gives_a_finite_normal():
+    # k + 1/2 rounds to 2^53 at k = 2^53 - 1; that word maps to 1 - 2^-53,
+    # and the words below it keep the uniform (k + 1/2) 2^-53
+    words = np.array([0, 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1], dtype=np.uint64)
+    got = _uniforms_to_normals(words)
+    assert np.isfinite(got).all()
+    assert got[4] == ndtri(1.0 - 2.0 ** -53)
+    assert got[4] == pytest.approx(8.2095361516)
+    assert np.array_equal(got[:4], ndtri((words[:4] + 0.5) * 2.0 ** -53))
+    assert got[:4] == pytest.approx([-8.2923610758, -8.1607078411, 0.0, 8.1258906647])
+
+
 def test_fast_normals_bit_identical_to_public_path():
     fast = _FastNormals(master_seed=77)
     for rep, step in [(0, 0), (3, 17), (12, 999), (5, 2)]:
@@ -85,7 +97,7 @@ def test_normals_match_the_documented_map(seed, rep, step, n):
     bg = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64),
                           counter=np.array([0, 0, 0, step], dtype=np.uint64))
     k = np.random.Generator(bg).integers(0, 2 ** 53, size=n, dtype=np.uint64)
-    ref = ndtri((k + 0.5) * 2.0 ** -53)
+    ref = ndtri(np.minimum(k + 0.5, 2.0 ** 53 - 1) * 2.0 ** -53)
     assert np.array_equal(NoiseStream(seed, rep).normals(step, n), ref)
     assert np.array_equal(_FastNormals(seed).normals_block([rep], step, n)[0], ref)
 
@@ -96,7 +108,8 @@ def test_out_paths_match_the_allocating_forms():
     buf = np.empty(u.shape)
     got = _uniforms_to_normals(u, out=buf)
     assert got is buf
-    assert np.array_equal(buf, ndtri((u.astype(np.float64) + 0.5) * 2.0 ** -53))
+    uniform = np.minimum(u.astype(np.float64) + 0.5, 2.0 ** 53 - 1) * 2.0 ** -53
+    assert np.array_equal(buf, ndtri(uniform))
     g = default_grid(0.05, 7.0)
     ref = np.exp(np.sqrt(g.dt / g.dx) * buf - g.dt / (2 * g.dx))
     assert np.array_equal(noise_factors(g, buf.copy()), ref)

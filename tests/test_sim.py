@@ -19,6 +19,21 @@ def _dirac(g):
     return Z
 
 
+@pytest.mark.parametrize("dx, half_width", [
+    (0.1, 1.0), (0.1, 0.15), (0.05, 7.0), (0.1, 5.05), (0.03, 2.0), (0.07, 3.3),
+])
+def test_origin_index_is_the_cell_nearest_zero(dx, half_width):
+    # the first cell of least |x|: the zero cell for an odd count, the one
+    # at -dx/2 for an even count
+    g = GridSpec(dx=dx, half_width=half_width, dt=dx * dx / 2)
+    x = g.positions()
+    assert g.origin_index == int(np.argmin(np.abs(x)))
+    if g.cell_count % 2:
+        assert x[g.origin_index] == 0.0
+    else:
+        assert x[g.origin_index] == pytest.approx(-dx / 2)
+
+
 def test_gridspec_basics():
     g = GridSpec(dx=0.1, half_width=1.0, dt=0.005)
     assert g.cell_count == 21
