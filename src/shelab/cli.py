@@ -64,6 +64,12 @@ _TYPE_NAMES = {dict: "an object", list: "a list", numbers.Real: "a number",
                str: "a string", int: "an integer", bool: "a boolean"}
 
 
+def _has_type(value, kind):
+    """isinstance, except that a bool is not taken for a number: JSON's
+    true and false load as Python bools, which are ints."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def _report_problem(report_dict):
     """Why _print_report cannot print report_dict, naming its first missing
     or wrongly typed key, or None."""
@@ -73,7 +79,7 @@ def _report_problem(report_dict):
             if not isinstance(node, dict) or part not in node:
                 return f"no key '{key}'"
             node = node[part]
-        if not isinstance(node, kind):
+        if not _has_type(node, kind):
             return f"key '{key}' is not {_TYPE_NAMES[kind]}"
     for name, rows in report_dict["tables"].items():
         if not isinstance(rows, list):
@@ -84,7 +90,7 @@ def _report_problem(report_dict):
         for part, kind in _VERDICT_KEYS:
             if part not in verdict:
                 return f"no key 'verdicts[{i}].{part}'"
-            if not isinstance(verdict[part], kind):
+            if not _has_type(verdict[part], kind):
                 return f"key 'verdicts[{i}].{part}' is not {_TYPE_NAMES[kind]}"
     return None
 

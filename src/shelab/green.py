@@ -10,7 +10,10 @@ Two propagation directions are used:
 
   * forward: _forward sweeps every row of a (sources, cell_count) block over
     a range of steps; a caller writes a source's Dirac mass into its zero
-    row before that source's first step.
+    row before that source's first step.  convolve1d treats each row on its
+    own, so a sweep of some rows gives them the bits of a sweep of the whole
+    block: the shift driver sweeps only the (0, 0) row over [0, s), while
+    the (s, y) row is still zero, and both rows from s on.
   * adjoint: the one-replicate propagator is a product of symmetric
     convolutions and diagonal noise factors, so one backward pass from a
     probe cell yields G(t, x_probe; s, z) for *every* source position z at
@@ -83,10 +86,10 @@ def _forward(grid, fields, factors, k0, k1):
     """
     w = heat_step_weights(grid.dx, grid.dt)
     spare = np.empty_like(fields)
-    for k in range(k0, k1):
+    for f in factors[k0:k1]:
         convolve1d(fields, w, axis=1, output=spare, mode="constant", cval=0.0)
         fields, spare = spare, fields
-        fields *= factors[k]
+        fields *= f
     return fields
 
 
@@ -101,8 +104,8 @@ def _adjoint(grid, v, factors, k0, k1):
     w = heat_step_weights(grid.dx, grid.dt)
     v = v.copy()
     spare = np.empty_like(v)
-    for k in range(k1 - 1, k0 - 1, -1):
-        v *= factors[k]
+    for f in factors[k0:k1][::-1]:
+        v *= f
         convolve1d(v, w, output=spare, mode="constant", cval=0.0)
         v, spare = spare, v
     return v
@@ -166,13 +169,15 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     e0 = np.zeros(n)                    # the adjoint's start row, at x = 0
     e0[i0] = 1.0
     for rep in replicate_ids:
-        for k in range(kt):
-            rng.fill_u53(words[k], rep, k)
+        for k, row in enumerate(words):
+            rng.fill_u53(row, rep, k)
         noise._uniforms_to_normals(words, out=factors)
         noise_factors(grid, factors, out=factors)
         F = np.zeros((2, n))            # row 0: source (0,0); row 1: (s,y)
         F[0, i0] = 1.0 / grid.dx
-        F = _forward(grid, F, factors, 0, ks)
+        # row 1 is zero until the (s,y) source enters at step ks, so
+        # [0, ks) sweeps row 0 only (same bits; see the module docstring)
+        F[:1] = _forward(grid, F[:1], factors, 0, ks)
         zs = F[0, zy]                                    # Z_s(z + y)
         F[1, iy] = 1.0 / grid.dx
         F = _forward(grid, F, factors, ks, kt)

@@ -87,18 +87,26 @@ class _FastNormals:
 
     Reuses one Philox object via state assignment, which produces draws
     bit-identical to fresh construction (asserted in the test suite) at a
-    fraction of the setup cost.  Philox is counter-based, so a fill can start
-    at any cell of the row and keep its bits: the batch engine draws words
-    only on its domain of dependence [lo, hi).  `ndtri` still transforms the
-    whole (B, n) word block, because the benchmark's count model pins the
-    number of variates; the cells never drawn hold the word 2^52, whose
-    normal is exactly 0.0 and takes ndtri's fast central branch.
+    fraction of the setup cost.  The state dict is built once, with plain
+    Python lists for the counter, key and buffer: numpy's state setter reads
+    list items faster than array items, and a fill only rewrites three list
+    items before assigning the dict.  Philox is counter-based, so a fill can
+    start at any cell of the row and keep its bits: the batch engine draws
+    words only on its domain of dependence [lo, hi).  `ndtri` still
+    transforms the whole (B, n) word block, because the benchmark's count
+    model pins the number of variates; the cells never drawn hold the word
+    2^52, whose normal is exactly 0.0 and takes ndtri's fast central branch.
     Single-threaded use only; each worker process owns its own instance.
     """
 
     def __init__(self, master_seed: int):
         self._bg = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
-        self._state = self._bg.state
+        st = self._bg.state
+        st["state"] = {name: v.tolist() for name, v in st["state"].items()}
+        st["buffer"] = st["buffer"].tolist()
+        self._state = st
+        self._counter = st["state"]["counter"]
+        self._key = st["state"]["key"]
         self._words = np.empty((0, 0), dtype=np.uint64)  # reused by normals_block
 
     def fill_u53(self, out, replicate_id: int, step_index: int, first: int = 0):
@@ -106,17 +114,17 @@ class _FastNormals:
         `out`: the same words as out.size cells of a full-row fill from
         cell `first` on.  Each counter value gives 4 words, so the fill
         starts at counter first // 4 and drops the first first % 4 words."""
-        # only this method writes the state dict, and it keeps key[0] (the
-        # master seed) and counter[1:3] (zero) as __init__ set them
-        st = self._state
-        state = st["state"]
-        state["counter"][0] = first // 4
-        state["counter"][3] = step_index
-        state["key"][1] = replicate_id
-        st["buffer_pos"] = 4
-        self._bg.state = st
+        # only this method writes the state lists, and it keeps key[0] (the
+        # master seed) and counter[1:3] (zero) as __init__ set them; the
+        # dict's buffer_pos stays 4 (buffer empty), since the dict is never
+        # read back from the generator
+        self._counter[0] = first // 4
+        self._counter[3] = step_index
+        self._key[1] = replicate_id
+        self._bg.state = self._state
         skip = first % 4
-        np.right_shift(self._bg.random_raw(out.size + skip)[skip:], 11, out=out)
+        raw = self._bg.random_raw(out.size + skip)
+        np.right_shift(raw[skip:] if skip else raw, 11, out=out)
 
     def normals_block(self, replicate_ids, step_index: int, cell_count: int,
                       out=None, lo: int = 0, hi: int | None = None):

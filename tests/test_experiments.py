@@ -513,6 +513,9 @@ _REPORT = {"config": {"kind": "clt", "master_seed": 1}, "tables": {"clt": []},
 
 @pytest.mark.parametrize("over, message", [
     ({"wallclock_s": "fast"}, "key 'wallclock_s' is not a number"),
+    ({"wallclock_s": False}, "key 'wallclock_s' is not a number"),
+    ({"config": {"kind": "clt", "master_seed": True}},
+     "key 'config.master_seed' is not an integer"),
     ({"tables": []}, "key 'tables' is not an object"),
     ({"verdicts": [{"criterion": "c"}]}, "no key 'verdicts[0].passed'"),
 ])

@@ -39,16 +39,33 @@ def test_origin_source_reproduces_sim_evolve(grid):
     assert np.array_equal(g, ref)
 
 
+@pytest.mark.parametrize("ks", [20, 21])
+def test_one_row_sweep_before_the_second_source(grid, ks):
+    # the sweep of row 0 alone over [0, ks) gives it the two-row sweep's
+    # bits and leaves row 1 at +0.0, for either parity of ks (the result
+    # buffer alternates with it)
+    i0, n = grid.origin_index, grid.cell_count
+    factors = _factor_table(grid, NoiseStream(13, 1), ks)
+    both = np.zeros((2, n))
+    both[0, i0] = 1.0 / grid.dx
+    both = _forward(grid, both, factors, 0, ks)
+    F = np.zeros((2, n))
+    F[0, i0] = 1.0 / grid.dx
+    F[:1] = _forward(grid, F[:1], factors, 0, ks)
+    assert np.array_equal(F[0], both[0])
+    assert (F[1] == 0.0).all() and not np.signbit(F[1]).any()
+
+
 def test_joint_vs_separate_evolution_identical(grid):
-    # the shift driver's two-row sweep: row 0 from (0, 0), row 1 written at
-    # step ks between the two sweeps; each row equals its one-row sweep
+    # the shift driver's sweeps: row 0 alone from (0, 0) over [0, ks), row 1
+    # written at step ks, then both rows; each row equals its one-row sweep
     kt, i0, iy = grid.step_of(0.3), grid.origin_index, grid.index_of(0.5)
     factors = _factor_table(grid, NoiseStream(13, 1), kt)
     solo0 = _source_row(grid, factors, 0, i0, kt)
     for ks in (20, 21):             # source step even and odd
         F = np.zeros((2, grid.cell_count))
         F[0, i0] = 1.0 / grid.dx
-        F = _forward(grid, F, factors, 0, ks)
+        F[:1] = _forward(grid, F[:1], factors, 0, ks)
         F[1, iy] = 1.0 / grid.dx
         F = _forward(grid, F, factors, ks, kt)
         solo1 = _source_row(grid, factors, ks, iy, kt)

@@ -170,6 +170,39 @@ def test_fill_from_a_cell_matches_the_full_row(first):
         assert np.array_equal(part, full[first:first + length]), length
 
 
+def test_fill_sequence_matches_fresh_philox():
+    # one instance carries its state lists from call to call; in a scrambled
+    # order of replicates and steps (both past 2^32), start cells of every
+    # residue mod 4 and lengths, each fill equals a fresh Philox's slice
+    seed = 2 ** 63 + 5
+    fast = _FastNormals(seed)
+    calls = [(2 ** 33 + 1, 7, 5, 1), (0, 0, 0, 281), (3, 2 ** 32, 2, 4),
+             (2 ** 33 + 1, 7, 0, 281), (3, 5, 11, 9), (0, 2 ** 40 + 3, 4, 1),
+             (3, 5, 1, 280), (2 ** 33 + 1, 2 ** 32, 7, 3), (0, 0, 3, 16)]
+    for rep, step, first, length in calls:
+        out = np.empty(length, dtype=np.uint64)
+        fast.fill_u53(out, rep, step, first)
+        bg = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64),
+                              counter=np.array([0, 0, 0, step], dtype=np.uint64))
+        ref = bg.random_raw(first + length)[first:] >> 11
+        assert np.array_equal(out, ref), (rep, step, first, length)
+
+
+def test_fast_normals_state_follows_numpy_schema():
+    # the list-held state dict has numpy's Philox state keys, and assigning
+    # it sets the generator's counter and key
+    fast = _FastNormals(9)
+    ref = np.random.Philox(0).state
+    assert fast._state.keys() == ref.keys()
+    assert fast._state["state"].keys() == ref["state"].keys()
+    fast._counter[:] = [1, 0, 0, 2 ** 40]
+    fast._key[1] = 2 ** 35
+    fast._bg.state = fast._state
+    got = fast._bg.state["state"]
+    assert got["counter"].tolist() == [1, 0, 0, 2 ** 40]
+    assert got["key"].tolist() == [9, 2 ** 35]
+
+
 @pytest.mark.parametrize("lo, hi", [(0, 301), (0, 1), (5, 6), (6, 138),
                                     (117, 301), (300, 301), (42, 42)])
 def test_normals_block_on_a_range_matches_the_public_rows(lo, hi):
