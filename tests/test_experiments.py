@@ -513,11 +513,11 @@ _REPORT = {"config": {"kind": "clt", "master_seed": 1}, "tables": {"clt": []},
 
 @pytest.mark.parametrize("over, message", [
     ({"wallclock_s": "fast"}, "key 'wallclock_s' is not a number"),
+    ({"tables": []}, "key 'tables' is not an object"),
+    ({"verdicts": [{"criterion": "c"}]}, "no key 'verdicts[0].passed'"),
     ({"wallclock_s": False}, "key 'wallclock_s' is not a number"),
     ({"config": {"kind": "clt", "master_seed": True}},
      "key 'config.master_seed' is not an integer"),
-    ({"tables": []}, "key 'tables' is not an object"),
-    ({"verdicts": [{"criterion": "c"}]}, "no key 'verdicts[0].passed'"),
 ])
 def test_cli_report_with_wrongly_typed_values_exits_2(tmp_path, capsys, over, message):
     # a run report whose values _print_report cannot print names the first
