@@ -168,6 +168,8 @@ class ExperimentConfig:
                     lo, hi = self._bulk(grid)
                     x_max = max(abs(lo), abs(hi))
                     if not time_bad:
+                        bad += _cone_violations(grid, "bulk_window", x_max,
+                                                self.times[-1])
                         bad += _underflow_violations(grid, "bulk_window", x_max,
                                                      self.times[-1])
                 for lag in self.lags:
@@ -417,9 +419,6 @@ class RunReport:
     def to_json(self, **kw) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, **kw)
 
-    def passed(self) -> bool:
-        return all(v["passed"] for v in self.verdicts)
-
 
 # ---------------------------------------------------------------------------
 # CSV emission
@@ -503,27 +502,26 @@ def fit_decay(cov, lag_window) -> FitDecayResult:
 # parallel scaffolding
 # ---------------------------------------------------------------------------
 
-def _chunk_map(cfg: ExperimentConfig, grid: GridSpec, worker, ids, *params):
-    """worker((grid, master seed, chunk, *params)) for each chunk of _CHUNK
+def _chunk_map(cfg: ExperimentConfig, grid: GridSpec, fn, ids, *params):
+    """fn(grid, chunk, *params, master seed) for each chunk of _CHUNK
     consecutive ids, results in chunk order; chunks run in at most
     min(cfg.workers, chunk count) worker processes when cfg.workers > 1."""
     ids = list(ids)
-    args = [(grid, cfg.master_seed, ids[i:i + _CHUNK], *params)
-            for i in range(0, len(ids), _CHUNK)]
-    if cfg.workers <= 1 or len(args) <= 1:
-        return [worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(args))) as ex:
-        return list(ex.map(worker, args))
+    calls = [(grid, ids[i:i + _CHUNK], *params, cfg.master_seed)
+             for i in range(0, len(ids), _CHUNK)]
+    if cfg.workers <= 1 or len(calls) <= 1:
+        return [fn(*call) for call in calls]
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(calls))) as ex:
+        return list(ex.map(fn, *zip(*calls)))
 
 
-# workers and transforms are top-level functions so they pickle under any
-# start method
+# chunk functions and transforms are top-level functions so they pickle, by
+# reference, under any start method
 
-def _ensemble_worker(args):
+def _ensemble_chunk(grid, ids, steps, mode, window, transform, seed):
     """transform(block[:, window], t, x_window) per checkpoint step for one
     chunk evolved by the batch engine; window is an index array, and the
     engine computes only the cells it depends on."""
-    grid, seed, ids, steps, mode, window, transform = args
     x = grid.positions()[window]
     out = {}
 
@@ -536,10 +534,10 @@ def _ensemble_worker(args):
 
 def _ensemble(cfg, grid, ids, steps, mode, lo, hi, transform):
     """(row blocks, window positions): per step of steps, the rows of
-    _ensemble_worker stacked in the order of ids; the positions of the cells
+    _ensemble_chunk stacked in the order of ids; the positions of the cells
     with lo <= x <= hi."""
     window = grid.window(lo, hi)
-    results = _chunk_map(cfg, grid, _ensemble_worker, ids, steps, mode, window,
+    results = _chunk_map(cfg, grid, _ensemble_chunk, ids, steps, mode, window,
                          transform)
     return ([np.concatenate([out[k] for out in results]) for k in steps],
             grid.positions()[window])
@@ -560,11 +558,6 @@ def _center_gbar(Z, t, x):
     """Z(t, 0) / p_t(0) on a one-cell window at the origin cell.  The scalar
     math.exp is kept: np.exp differs in the last bit at some steps."""
     return Z[:, 0] * math.exp(-float(log_heat_kernel(t, 0.0)))
-
-
-def _shift_worker(args):
-    grid, seed, ids, t, s, x, y = args
-    return shift_identity_samples(grid, ids, t, s, x, y, master_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +749,8 @@ def _run_shift_check(cfg: ExperimentConfig):
     verdicts = []
     details = {}
     for (x, y) in cfg.shift_probes:
-        results = _chunk_map(cfg, grid, _shift_worker, range(cfg.replicates),
-                             t, s, float(x), float(y))
+        results = _chunk_map(cfg, grid, shift_identity_samples,
+                             range(cfg.replicates), t, s, float(x), float(y))
         chk = ShiftIdentityCheck.from_samples(
             np.concatenate([r[0] for r in results]),
             np.concatenate([r[1] for r in results]),
@@ -918,7 +911,11 @@ def run(config: ExperimentConfig) -> RunReport:
     written = []
     t0 = time.perf_counter()
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError([f"out_dir {config.out_dir}: cannot create the run "
+                               f"directory: {e.strerror}"]) from None
     try:
         tables, verdicts, extras = _DRIVERS[config.kind](config)
         wall = time.perf_counter() - t0

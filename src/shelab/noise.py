@@ -83,7 +83,7 @@ class ZeroNoise:
 
 
 class _FastNormals:
-    """Internal batched variant of NoiseStream.normals.
+    """Internal Philox row filler: the 53-bit words of NoiseStream.normals.
 
     Reuses one Philox object via state assignment, which produces draws
     bit-identical to fresh construction (asserted in the test suite) at a
@@ -91,12 +91,9 @@ class _FastNormals:
     Python lists for the counter, key and buffer: numpy's state setter reads
     list items faster than array items, and a fill only rewrites three list
     items before assigning the dict.  Philox is counter-based, so a fill can
-    start at any cell of the row and keep its bits: the batch engine draws
-    words only on its domain of dependence [lo, hi).  `ndtri` still
-    transforms the whole (B, n) word block, because the benchmark's count
-    model pins the number of variates; the cells never drawn hold the word
-    2^52, whose normal is exactly 0.0 and takes ndtri's fast central branch.
-    Single-threaded use only; each worker process owns its own instance.
+    start at any cell of the row and keep its bits.  The callers turn the
+    words into normals with _uniforms_to_normals.  Single-threaded use only;
+    each worker process owns its own instance.
     """
 
     def __init__(self, master_seed: int):
@@ -107,7 +104,6 @@ class _FastNormals:
         self._state = st
         self._counter = st["state"]["counter"]
         self._key = st["state"]["key"]
-        self._words = np.empty((0, 0), dtype=np.uint64)  # reused by normals_block
 
     def fill_u53(self, out, replicate_id: int, step_index: int, first: int = 0):
         """53-bit integers of the row's cells first, first + 1, ... into
@@ -125,23 +121,3 @@ class _FastNormals:
         skip = first % 4
         raw = self._bg.random_raw(out.size + skip)
         np.right_shift(raw[skip:] if skip else raw, 11, out=out)
-
-    def normals_block(self, replicate_ids, step_index: int, cell_count: int,
-                      out=None, lo: int = 0, hi: int | None = None):
-        """(len(replicate_ids), cell_count) matrix of normals for one step,
-        written into `out` when given.  Only the cells [lo, hi) (all cells by
-        default) are drawn, and the block is valid only there; the cells of a
-        fresh block never drawn are exactly 0.0.  The word block is kept
-        between calls of the same shape."""
-        hi = cell_count if hi is None else hi
-        if not 0 <= lo <= hi <= cell_count:
-            raise ValueError(f"need 0 <= lo <= hi <= {cell_count}, got [{lo}, {hi})")
-        shape = (len(replicate_ids), cell_count)
-        if self._words.shape != shape:
-            # the word 2^52 maps to the normal 0.0; the word 0 would send
-            # every cell never drawn down ndtri's slow tail branch
-            self._words = np.full(shape, 1 << 52, dtype=np.uint64)
-        u = self._words
-        for i, rid in enumerate(replicate_ids):
-            self.fill_u53(u[i, lo:hi], rid, step_index, lo)
-        return _uniforms_to_normals(u, out=out)

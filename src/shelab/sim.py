@@ -51,11 +51,13 @@ cell a consumer may read, while it
     it,
   * draws the Philox words of each row only on the cells it computes, from
     the counter of the first one (noise._FastNormals.fill_u53), so every
-    cell gets the word of a full-row fill.  The inverse CDF (ndtri) still
+    cell gets the word of a full-row fill, and turns the whole (B, n) word
+    table into normals with one noise._uniforms_to_normals call per step,
+    the idiom green.shift_identity_samples uses.  The inverse CDF (ndtri)
     transforms every cell of every row, because the benchmark's count model
     pins the number of variates.  Cells outside [c0, c1) hold the words of
-    an earlier step, or, if never drawn, the word whose normal is exactly
-    0.0, which takes ndtri's fast central branch.
+    an earlier step of the run, or, if never drawn, the word whose normal
+    is exactly 0.0, which takes ndtri's fast central branch.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ from scipy.optimize import brentq
 from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
+from . import noise
 from .kernels import log_heat_kernel
-from .noise import _FastNormals
 
 __all__ = [
     "GridSpec",
@@ -363,7 +365,7 @@ class _BatchEngine:
         self.n = grid.cell_count
         self.w = heat_step_weights(grid.dx, grid.dt)
         self.half = len(self.w) // 2
-        self.rng = _FastNormals(master_seed)
+        self.rng = noise._FastNormals(master_seed)
         if window is None:
             self._span = (0, self.n)
         else:
@@ -463,9 +465,9 @@ class _BatchEngine:
         view of a buffer the next step overwrites: it is valid only during
         the consume call, so a consumer that keeps it must copy it.
 
-        The state, its swap partner and the normals block are allocated once
-        per run; each step writes into them, and draws its noise, on the cells
-        _domain names.
+        The state, its swap partner, the Philox word table and the normals
+        block are allocated once per run; each step writes into them, and
+        draws its words, on the cells _domain names.
         """
         reps = list(replicate_ids)
         want = set(checkpoint_steps)
@@ -479,6 +481,10 @@ class _BatchEngine:
         # radius) other than with +0.0
         shape = (self.n, len(reps)) if relative else (len(reps), self.n)
         X, Y = np.zeros(shape), np.zeros(shape)
+        # the word 2^52 maps to the normal 0.0, so a cell never drawn takes
+        # ndtri's fast central branch; the word 0 would send it down the slow
+        # tail branch
+        words = np.full((len(reps), self.n), 1 << 52, dtype=np.uint64)
         xi = np.empty((len(reps), self.n))
         if relative:
             logK = np.full(self.n, _LOG_FLOOR)
@@ -502,7 +508,9 @@ class _BatchEngine:
                 Y[:, c1:b] = 0.0
             X, Y = Y, X
             # Philox draws only [c0, c1); xi is valid only there
-            self.rng.normals_block(reps, k, self.n, out=xi, lo=c0, hi=c1)
+            for row, rid in zip(words, reps):
+                self.rng.fill_u53(row[c0:c1], rid, k, c0)
+            noise._uniforms_to_normals(words, out=xi)
             # X is exactly 0 outside the cone and the underflow radius, so
             # only [c0, c1) is multiplied
             xl = xi[:, c0:c1]

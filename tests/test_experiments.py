@@ -191,6 +191,7 @@ def test_clt_and_fdd_report_the_tilted_variance_ratio(tmp_path):
     (_tiny_clt_cfg, dict(replicates=10), "replicates >= 50"),      # KS would raise after the run
     (_tiny_cov_cfg, dict(out_dir=5), "out_dir must be a string"),
     (_tiny_fdd_cfg, dict(replicates=2), "fdd needs replicates >= 3"),  # NaN jackknife SE
+    (_tiny_cov_cfg, dict(times=[0.01], bulk_window=[-2.5, 2.5]), "noise cone"),
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     make().validate()
@@ -279,26 +280,34 @@ def test_worker_pool_is_capped_at_the_chunk_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
-            return map(fn, args)
+        def map(self, fn, *columns):
+            return map(fn, *columns)
+
+    def size(grid, chunk, seed):
+        return len(chunk)
 
     monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
     cfg = _tiny_cov_cfg()
     ids = range(3 * ex._CHUNK - 5)                      # 3 chunks
-    serial = ex._chunk_map(cfg, cfg.grid(), len, ids)
+    serial = ex._chunk_map(cfg, cfg.grid(), size, ids)
+    assert serial == [ex._CHUNK, ex._CHUNK, ex._CHUNK - 5]
     for workers, expected in ((5000, 3), (2, 2)):
         cfg.workers = workers
-        assert ex._chunk_map(cfg, cfg.grid(), len, ids) == serial
+        assert ex._chunk_map(cfg, cfg.grid(), size, ids) == serial
         assert seen[-1] == expected
 
 
-def test_csv_bodies_identical_across_worker_counts(tmp_path):
+@pytest.mark.parametrize("make, over", [
+    (_tiny_cov_cfg, dict(fit_window=[1.0, 3.0])),
+    # 150 replicates make 3 chunks, so the pool maps shift_identity_samples
+    # itself over more than one worker
+    (_tiny_shift_cfg, dict(replicates=150)),
+], ids=["covariance", "shift"])
+def test_csv_bodies_identical_across_worker_counts(tmp_path, make, over):
     outs = {}
     for workers in (1, 3):
         d = tmp_path / f"w{workers}"
-        cfg = _tiny_cov_cfg(workers=workers, out_dir=str(d),
-                            fit_window=[1.0, 3.0])
-        run(cfg)
+        run(make(workers=workers, out_dir=str(d), **over))
         outs[workers] = {
             name: (d / name).read_bytes()
             for name in os.listdir(d) if name.endswith(".csv")
@@ -480,10 +489,12 @@ def test_cli_config_file_errors_exit_2(tmp_path, capsys, body, message):
     (["clt", "--config", "{dir}/bad.json"], "not valid JSON"),
     (["clt", "--config", "{dir}/missing.json"], "cannot read the config file"),
     (["report", "--out", "{dir}"], "cannot read the run report"),
+    (["oracle", "--out", "{dir}/bad.json"], "cannot create the run directory"),
 ])
 def test_cli_unreadable_input_exits_2(tmp_path, capsys, argv, message):
-    # a malformed config, a missing config and a run directory without a
-    # report each print one message, with no traceback
+    # a malformed config, a missing config, a run directory without a
+    # report and an --out naming a file each print one message, with no
+    # traceback
     (tmp_path / "bad.json").write_text('{"kind": "clt",')
     rc = cli_main([a.format(dir=tmp_path) for a in argv])
     assert rc == 2

@@ -82,10 +82,9 @@ def test_fast_normals_bit_identical_to_public_path():
     fast = _FastNormals(master_seed=77)
     for rep, step in [(0, 0), (3, 17), (12, 999), (5, 2)]:
         ref = NoiseStream(77, rep).normals(step, 257)
-        out = np.empty((1, 257), dtype=np.uint64)
-        fast.fill_u53(out[0], rep, step)
-        got = fast.normals_block([rep], step, 257)[0]
-        assert np.array_equal(got, ref)
+        out = np.empty(257, dtype=np.uint64)
+        fast.fill_u53(out, rep, step)
+        assert np.array_equal(_uniforms_to_normals(out), ref)
 
 
 @pytest.mark.parametrize("seed, rep, step, n", [
@@ -99,7 +98,9 @@ def test_normals_match_the_documented_map(seed, rep, step, n):
     k = np.random.Generator(bg).integers(0, 2 ** 53, size=n, dtype=np.uint64)
     ref = ndtri(np.minimum(k + 0.5, 2.0 ** 53 - 1) * 2.0 ** -53)
     assert np.array_equal(NoiseStream(seed, rep).normals(step, n), ref)
-    assert np.array_equal(_FastNormals(seed).normals_block([rep], step, n)[0], ref)
+    u = np.empty(n, dtype=np.uint64)
+    _FastNormals(seed).fill_u53(u, rep, step)
+    assert np.array_equal(_uniforms_to_normals(u), ref)
 
 
 def test_out_paths_match_the_allocating_forms():
@@ -206,20 +207,16 @@ def test_fast_normals_state_follows_numpy_schema():
 @pytest.mark.parametrize("lo, hi", [(0, 301), (0, 1), (5, 6), (6, 138),
                                     (117, 301), (300, 301), (42, 42)])
 def test_normals_block_on_a_range_matches_the_public_rows(lo, hi):
-    # a fresh block is the NoiseStream rows on [lo, hi) and exactly 0.0
-    # elsewhere, the normal of the word 2^52 it starts from
+    # the batch engine's normals block: a word table that starts at 2^52,
+    # filled on [lo, hi) only, gives the NoiseStream rows there and exactly
+    # +0.0 elsewhere
     n, ids = 301, [0, 3, 11]
-    got = _FastNormals(master_seed=19).normals_block(ids, 8, n, lo=lo, hi=hi)
-    assert got.shape == (3, n)
+    fast = _FastNormals(master_seed=19)
+    words = np.full((3, n), 1 << 52, dtype=np.uint64)
+    for row, rep in zip(words, ids):
+        fast.fill_u53(row[lo:hi], rep, 8, lo)
+    got = _uniforms_to_normals(words)
     for row, rep in zip(got, ids):
         assert np.array_equal(row[lo:hi], NoiseStream(19, rep).normals(8, n)[lo:hi])
     outside = np.concatenate([got[:, :lo], got[:, hi:]], axis=1)
     assert (outside == 0.0).all() and not np.signbit(outside).any()
-
-
-def test_normals_block_range_is_checked():
-    fast = _FastNormals(master_seed=1)
-    for lo, hi in [(-1, 5), (6, 5), (0, 11), (11, 11)]:
-        with pytest.raises(ValueError):
-            fast.normals_block([0], 0, 10, lo=lo, hi=hi)
-    fast.normals_block([0], 0, 10, lo=10, hi=10)     # an empty range is legal

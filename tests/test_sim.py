@@ -385,7 +385,7 @@ def test_domain_only_draw_keeps_the_window_bits(mode, monkeypatch):
     # the engine draws Philox words only on its domain [c0, c1); its window
     # cells equal those of an engine that draws full rows, bit for bit.  c0
     # moves by 11 cells a step, so it takes every residue mod 4, and the
-    # second run on the same engine starts from the first run's stale words
+    # second run reuses the engine
     g = default_grid(0.1, 20.0)
     w, steps = np.arange(250, 262), [8, 30]
     eng = _BatchEngine(g, 8, mode=mode, window=w)
@@ -407,10 +407,14 @@ def test_domain_only_draw_keeps_the_window_bits(mode, monkeypatch):
     shipped = window_rows(eng)
     # one fill per (replicate, step) row, on the domain only
     assert len(calls) == 2 * 7 * 30 and max(calls) < g.cell_count
-    full_rows = _FastNormals.normals_block
-    monkeypatch.setattr(
-        _FastNormals, "normals_block",
-        lambda self, ids, k, n, out=None, lo=0, hi=None: full_rows(self, ids, k, n, out=out))
+
+    def full_row(self, out, rid, k, first=0):
+        # draw the whole row and copy its cells [first, first + out.size)
+        row = np.empty(g.cell_count, dtype=np.uint64)
+        fill(self, row, rid, k)
+        out[...] = row[first:first + out.size]
+
+    monkeypatch.setattr(_FastNormals, "fill_u53", full_row)
     reference = window_rows(_BatchEngine(g, 8, mode=mode, window=w))
     for got, ref in zip(shipped, reference):
         for k in steps:
