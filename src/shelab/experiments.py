@@ -1,5 +1,9 @@
 """Experiment orchestration: configs, parallel ensemble drivers, reports.
 
+_probes is the one statement of a run's engine reads: the drivers run its
+probes, and validate() checks the cells each probe reads against the
+scheme's rules (enough cells, the noise cone, the read radius, truncation).
+
 Replicates are the unit of parallel work.  Worker processes receive fixed
 chunks of replicate ids (the chunking depends only on the replicate count,
 never on the worker count), every record a worker returns is a pure function
@@ -28,8 +32,8 @@ from scipy import stats as sps
 from . import __version__ as _VERSION
 from .kernels import log_heat_kernel
 from .green import ShiftIdentityCheck, shift_identity_samples, shift_window_cut
-from .oracles import (lemma_2, lemma_s0, lemma_twotime, lemma_y,
-                      limiting_constant, reduced_cov_integral,
+from .oracles import (continuum_first_chaos, lemma_2, lemma_s0, lemma_twotime,
+                      lemma_y, limiting_constant, reduced_cov_integral,
                       second_moment_volterra)
 from .sim import (GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights,
                   log_residual, read_radius, tilted_variance_ratio)
@@ -153,118 +157,91 @@ class ExperimentConfig:
             bad.append("calibration_replicates must be >= 1")
         if not self.times or sorted(self.times) != list(self.times):
             bad.append("times must be a nonempty ascending list")
-        if grid is not None and self.times:
-            time_bad = _time_violations(grid, "time", self.times)
-            bad += time_bad
-            t_max = max(self.times)
-            x_max = 0.0
-            if self.kind == "covariance":
-                if not self.lags:
-                    bad.append("covariance needs a nonempty lag list")
-                bulk_bad = _window_violations("bulk_window", self.bulk_window)
-                fit_bad = _window_violations("fit_window", self.fit_window or None)
-                bad += bulk_bad + fit_bad
-                if not bulk_bad:
-                    lo, hi = self._bulk(grid)
-                    x_max = max(abs(lo), abs(hi))
-                    if not time_bad:
-                        bad += _cone_violations(grid, "bulk_window", x_max,
-                                                self.times[-1])
-                        bad += _underflow_violations(grid, "bulk_window", x_max,
-                                                     self.times[-1])
-                for lag in self.lags:
-                    if lag < 0 or abs(round(lag / grid.dx) * grid.dx - lag) > 1e-9 * max(1, lag):
-                        bad.append(f"lag {lag} not on the dx lattice")
-                    if not bulk_bad and lag > hi - lo:
-                        bad.append(f"lag {lag} exceeds the bulk window span")
-                if self.fit_window and not fit_bad:
-                    f_lo, f_hi = self.fit_window
-                    n_fit = sum(0 < lag and f_lo - 1e-9 <= lag <= f_hi + 1e-9
-                                for lag in self.lags)
-                    if n_fit < 3:
-                        bad.append(f"fit_window {self.fit_window} holds {n_fit} "
-                                   "positive lags; the decay fit needs 3")
-            elif self.kind in ("clt", "fdd"):
-                if not self.n_values:
-                    bad.append(f"{self.kind} needs a nonempty n_values list")
-                if any(N < 3 for N in self.n_values):
-                    bad.append("every N must be >= 3 (log N > 1)")
-                bad += _lattice_violations(grid, "n_values", self.n_values)
-                if self.kind == "fdd" and len(self.times) != 2:
-                    bad.append("fdd needs exactly two times")
-                if self.kind == "fdd" and len(self.n_values) > 1:
-                    bad.append(f"fdd reads one N; n_values holds {len(self.n_values)}")
-                if (self.kind == "fdd" and _is_integer(self.replicates)
-                        and self.replicates < 3):
-                    bad.append("fdd needs replicates >= 3, the fewest pairs "
-                               "its jackknife SE takes")
-                if (self.kind == "clt" and _is_integer(self.replicates)
-                        and self.replicates < KS_MIN_SAMPLES):
-                    bad.append(f"clt needs replicates >= {KS_MIN_SAMPLES}, the "
-                               "fewest samples its KS normality test accepts")
-                x_max = max(self.n_values, default=0.0)
-                if not time_bad:
-                    # clt reads only the last time, fdd both
-                    t0 = self.times[0] if self.kind == "fdd" else self.times[-1]
-                    bad += _cone_violations(grid, "max N", x_max, t0)
-            elif self.kind == "shift_check":
-                probes = [_number_pair(p) for p in self.shift_probes]
-                bad += [f"shift_probes: {p!r} must be a list of two numbers [x, y]"
-                        for p, q in zip(self.shift_probes, probes) if q is None]
-                probes = [q for q in probes if q is not None]
-                if self.shift_s is None or not self.shift_probes:
-                    bad.append("shift_check needs shift_s and shift_probes")
-                elif not (0 < self.shift_s < t_max):
-                    bad.append("need 0 < shift_s < t")
-                else:
-                    bad += _time_violations(grid, "shift_s", [self.shift_s])
-                    for x, y in probes:
-                        cut = shift_window_cut(grid, t_max, self.shift_s, x, y)
-                        if cut:
-                            bad.append(f"shift probe ({x:g}, {y:g}): {cut}")
-                bad += _lattice_violations(grid, "shift_probes",
-                                           [v for probe in probes for v in probe])
-                x_max = max((max(abs(x), abs(y)) for x, y in probes), default=0.0)
-            elif self.kind == "diagnostics":
-                if self.first_moment_xmax >= 0:
-                    x_max = self.first_moment_xmax
-                    if not time_bad:
-                        bad += _cone_violations(grid, "first_moment_xmax", x_max,
-                                                self.times[-1])
-                        bad += _underflow_violations(grid, "first_moment_xmax", x_max,
-                                                     self.times[-1])
-                else:
-                    bad.append("first_moment_xmax must be >= 0")
-                holder_bad = _time_violations(grid, "holder_s_values",
-                                              self.holder_s_values)
-                bad += holder_bad
-                if (self.holder_s_values and not holder_bad
-                        and len({grid.step_of(s) for s in self.holder_s_values}) < 2):
-                    bad.append("holder_s_values needs 2 distinct times for the "
-                               "exponent fit")
-                t_max = max([t_max, *self.holder_s_values])
-                if self.gbar_probe:
-                    bad += [f"gbar_probe: unknown key {key!r}; the keys are "
-                            f"{', '.join(_GBAR_PROBE_DEFAULTS)}"
-                            for key in self.gbar_probe if key not in _GBAR_PROBE_DEFAULTS]
-                    probe = {**_GBAR_PROBE_DEFAULTS, **self.gbar_probe}
-                    pt_bad = _time_violations(grid, "gbar_probe.t", [probe["t"]])
-                    bad += pt_bad
-                    bad += _lattice_violations(grid, "gbar_probe.x", [probe["x"]])
-                    t_max = max(t_max, float(probe["t"]))
-                    x_max = max(x_max, abs(float(probe["x"])))
-                    if not pt_bad:
-                        bad += _cone_violations(grid, "gbar_probe.x",
-                                                float(probe["x"]), probe["t"])
-                        bad += _underflow_violations(grid, "gbar_probe.x",
-                                                     float(probe["x"]), probe["t"])
-                    if probe["k"] != 2:
-                        bad.append("gbar_probe.k must be 2, the only moment "
-                                   "order with an oracle")
-            if not grid.covers(t_max, x_max):
-                bad.append(
-                    f"half_width {grid.half_width} < x_max + 8 sqrt(t_max) "
-                    f"= {x_max + 8 * math.sqrt(t_max):.3f} (truncation control)")
+        if grid is None or not self.times:
+            raise ConfigError(bad)
+        # the probe rules run when every field the probes read passed its own
+        time_bad = _time_violations(grid, "time", self.times)
+        bad += time_bad
+        reads_ok = not time_bad
+        t = self.times[-1]
+        if self.kind == "covariance":
+            if not self.lags:
+                bad.append("covariance needs a nonempty lag list")
+            bulk_bad = _window_violations("bulk_window", self.bulk_window)
+            fit_bad = _window_violations("fit_window", self.fit_window or None)
+            bad += bulk_bad + fit_bad
+            reads_ok &= not bulk_bad
+            cells = [] if bulk_bad else grid.window(*_probes(self, grid)[0][1:3])
+            for lag in self.lags:
+                if lag < 0 or abs(round(lag / grid.dx) * grid.dx - lag) > 1e-9 * max(1, lag):
+                    bad.append(f"lag {lag} not on the dx lattice")
+                # CovarianceAccumulator.finalize pairs cells round(lag/dx) apart
+                if 0 < len(cells) <= round(lag / grid.dx):
+                    bad.append(f"lag {lag} exceeds the span {(cells[-1] - cells[0]) * grid.dx:g}"
+                               " of the bulk_window cells")
+            if self.fit_window and not fit_bad:
+                f_lo, f_hi = self.fit_window
+                n_fit = sum(0 < lag and f_lo - 1e-9 <= lag <= f_hi + 1e-9
+                            for lag in self.lags)
+                if n_fit < 3:
+                    bad.append(f"fit_window {self.fit_window} holds {n_fit} "
+                               "positive lags; the decay fit needs 3")
+        elif self.kind in ("clt", "fdd"):
+            if not self.n_values:
+                bad.append(f"{self.kind} needs a nonempty n_values list")
+                reads_ok = False
+            if any(N < 3 for N in self.n_values):
+                bad.append("every N must be >= 3 (log N > 1)")
+            bad += _lattice_violations(grid, "n_values", self.n_values)
+            if self.kind == "fdd" and len(self.times) != 2:
+                bad.append("fdd needs exactly two times")
+            if self.kind == "fdd" and len(self.n_values) > 1:
+                bad.append(f"fdd reads one N; n_values holds {len(self.n_values)}")
+            if self.kind == "fdd" and _is_integer(self.replicates) and self.replicates < 3:
+                bad.append("fdd needs replicates >= 3, the fewest pairs "
+                           "its jackknife SE takes")
+            if (self.kind == "clt" and _is_integer(self.replicates)
+                    and self.replicates < KS_MIN_SAMPLES):
+                bad.append(f"clt needs replicates >= {KS_MIN_SAMPLES}, the "
+                           "fewest samples its KS normality test accepts")
+        elif self.kind == "shift_check":
+            probes = [_number_pair(p) for p in self.shift_probes]
+            bad += [f"shift_probes: {p!r} must be a list of two numbers [x, y]"
+                    for p, q in zip(self.shift_probes, probes) if q is None]
+            s_bad = ["shift_check needs shift_s and shift_probes"]
+            if self.shift_s is not None and self.shift_probes:
+                s_bad = (["need 0 < shift_s < t"] if not 0 < self.shift_s < t
+                         else _time_violations(grid, "shift_s", [self.shift_s]))
+            bad += s_bad
+            for x, y in filter(None, probes):
+                name = f"shift_probes ({x:g}, {y:g})"
+                off = _lattice_violations(grid, "shift_probes", [x, y])
+                bad += off + _truncation_violations(grid, name, max(abs(x), abs(y)), t)
+                cut = None if s_bad or off else shift_window_cut(grid, t, self.shift_s, x, y)
+                if cut:
+                    bad.append(f"{name}: {cut}")
+        elif self.kind == "diagnostics":
+            # the probe rules refuse a negative first_moment_xmax (an empty
+            # window); the holder and gbar probes read the fields below
+            read_bad = _time_violations(grid, "holder_s_values", self.holder_s_values)
+            if (self.holder_s_values and not read_bad
+                    and len({grid.step_of(s) for s in self.holder_s_values}) < 2):
+                bad.append("holder_s_values needs 2 distinct times for the "
+                           "exponent fit")
+            if self.gbar_probe:
+                bad += [f"gbar_probe: unknown key {key!r}; the keys are "
+                        f"{', '.join(_GBAR_PROBE_DEFAULTS)}"
+                        for key in self.gbar_probe if key not in _GBAR_PROBE_DEFAULTS]
+                probe = {**_GBAR_PROBE_DEFAULTS, **self.gbar_probe}
+                read_bad += (_time_violations(grid, "gbar_probe.t", [probe["t"]])
+                             + _lattice_violations(grid, "gbar_probe.x", [probe["x"]]))
+                if probe["k"] != 2:
+                    bad.append("gbar_probe.k must be 2, the only moment "
+                               "order with an oracle")
+            bad += read_bad
+            reads_ok &= not read_bad
+        if reads_ok:
+            bad += _probe_violations(self, grid)
         if bad:
             raise ConfigError(bad)
 
@@ -290,13 +267,6 @@ class ExperimentConfig:
             bad += [f"gbar_probe.{key} must be a finite number"
                     for key, v in self.gbar_probe.items() if not _is_finite(v)]
         return bad
-
-    def _bulk(self, grid):
-        if self.bulk_window is not None:
-            return float(self.bulk_window[0]), float(self.bulk_window[1])
-        t_max = max(self.times)
-        w = grid.half_width - 8.0 * math.sqrt(t_max)
-        return -w, w
 
     # -- serialization ---------------------------------------------------------
 
@@ -369,28 +339,75 @@ def _lattice_violations(grid, name, xs):
     return bad
 
 
-def _cone_violations(grid, name, x, t):
-    """One violation when |x| lies outside the noise cone at time t: each heat
-    step reaches taps // 2 cells, so after k steps the field started from the
-    Dirac mass is exactly 0 beyond k (taps // 2) cells."""
+def _truncation_violations(grid, name, x, t):
+    """One violation unless the truncation rule holds out to |x| by time t."""
+    if grid.covers(t, x):
+        return []
+    return [f"{name}: half_width {grid.half_width:g} < {x:g} + 8 sqrt({t:g}) "
+            f"= {x + 8 * math.sqrt(t):.3f} (truncation control)"]
+
+
+def _reach(grid, lo, hi, times):
+    """(|x| of the farthest cell of grid.window(lo, hi), the cells per step
+    that the walk from the origin cell takes to it by the earliest time)."""
+    cells = grid.window(lo, hi)
+    return (float(np.abs(grid.positions()[cells]).max()),
+            int(np.abs(cells - grid.origin_index).max()) / grid.step_of(min(times)))
+
+
+def _probes(cfg, grid):
+    """One (name, lo, hi, times, mode) per engine pass, in the driver's order:
+    the cells lo <= x <= hi at each time, from the `mode` engine; name is
+    the field that sets the window."""
+    t = cfg.times[-1]
+    if cfg.kind == "covariance":
+        # the default bulk window keeps the truncation rule's margin
+        w = grid.half_width - 8.0 * math.sqrt(max(cfg.times))
+        lo, hi = cfg.bulk_window or (-w, w)
+        return [("bulk_window", float(lo), float(hi), [t], "absolute")]
+    if cfg.kind == "clt":
+        return [("n_values", 0.0, float(max(cfg.n_values)), [t], "relative")]
+    if cfg.kind == "fdd":
+        return [("n_values", 0.0, float(cfg.n_values[0]), cfg.times, "relative")]
+    if cfg.kind != "diagnostics":
+        return []
+    xmax = cfg.first_moment_xmax
+    probes = [("first_moment_xmax", -xmax, xmax, [t], "absolute")]
+    if cfg.holder_s_values:
+        x0 = float(grid.positions()[grid.origin_index])
+        probes.append(("holder_s_values", x0, x0, cfg.holder_s_values, "absolute"))
+    if cfg.gbar_probe:
+        gbar = {**_GBAR_PROBE_DEFAULTS, **cfg.gbar_probe}
+        px = float(gbar["x"])
+        probes.append(("gbar_probe.x", px, px, [float(gbar["t"])], "absolute"))
+    return probes
+
+
+def _probe_violations(cfg, grid):
+    """Each probe's rules, on the cells grid.window returns: enough cells for
+    the reduction; at the earliest time, the farthest cell inside the noise
+    cone (Z is exactly 0 beyond taps // 2 cells per step) and, on the
+    absolute engine, inside sim.read_radius (the cells that keep the bits of
+    the unflushed evolution); the truncation rule at the latest time."""
+    need = 1 if cfg.kind == "diagnostics" else 2
     half = len(heat_step_weights(grid.dx, grid.dt)) // 2
-    cone = half * grid.dx * grid.step_of(t)
-    if abs(x) > cone + 1e-9:
-        return [f"{name} {x:g} lies outside the noise cone |x| <= {cone:g} "
-                f"at t={t:g}"]
-    return []
-
-
-def _underflow_violations(grid, name, x, t):
-    """One violation when |x| lies beyond the read radius at time t: the
-    absolute engine flushes Z to +0.0 beyond the underflow radius, and only
-    the cells inside the read radius keep the bits of the unflushed
-    evolution (sim.read_radius)."""
-    r = read_radius(grid, t)
-    if abs(x) > r:
-        return [f"{name} {x:g} lies beyond the underflow read radius "
-                f"|x| <= {r:.3f} at t={t:g}"]
-    return []
+    bad = []
+    for name, lo, hi, times, mode in _probes(cfg, grid):
+        cells = grid.window(lo, hi)
+        if cells.size < need:
+            bad.append(f"{name}: the window [{lo:g}, {hi:g}] holds {cells.size} of "
+                       f"the {need} grid cells the {cfg.kind} reduction needs")
+            continue
+        (x, speed), t0 = _reach(grid, lo, hi, times), min(times)
+        r = read_radius(grid, t0)
+        if speed > half:
+            bad.append(f"{name} {x:g} lies outside the noise cone "
+                       f"|x| <= {half * grid.step_of(t0) * grid.dx:g} at t={t0:g}")
+        if mode == "absolute" and x > r:
+            bad.append(f"{name} {x:g} lies beyond the underflow read radius "
+                       f"|x| <= {r:.3f} at t={t0:g}")
+        bad += _truncation_violations(grid, name, x, max(times))
+    return bad
 
 
 def _time_violations(grid, name, times):
@@ -532,13 +549,14 @@ def _ensemble_chunk(grid, ids, steps, mode, window, transform, seed):
     return out
 
 
-def _ensemble(cfg, grid, ids, steps, mode, lo, hi, transform):
-    """(row blocks, window positions): per step of steps, the rows of
-    _ensemble_chunk stacked in the order of ids; the positions of the cells
-    with lo <= x <= hi."""
+def _ensemble(cfg, grid, ids, probe, transform):
+    """(row blocks, window positions) of one probe of _probes: per probe
+    time, the rows of _ensemble_chunk stacked in the order of ids; the
+    positions of the cells with lo <= x <= hi."""
+    _, lo, hi, times, mode = probe
+    steps = [grid.step_of(t) for t in times]
     window = grid.window(lo, hi)
-    results = _chunk_map(cfg, grid, _ensemble_chunk, ids, steps, mode, window,
-                         transform)
+    results = _chunk_map(cfg, grid, _ensemble_chunk, ids, steps, mode, window, transform)
     return ([np.concatenate([out[k] for out in results]) for k in steps],
             grid.positions()[window])
 
@@ -570,11 +588,10 @@ def _verdict(name, passed, detail):
 
 def _run_covariance(cfg: ExperimentConfig):
     grid = cfg.grid()
-    t = cfg.times[-1]
+    (probe,) = _probes(cfg, grid)
+    _, lo, hi, (t,), _ = probe
     k = grid.step_of(t)
-    lo, hi = cfg._bulk(grid)
-    (rows,), wpos = _ensemble(cfg, grid, range(cfg.replicates), [k],
-                              "absolute", lo, hi, log_residual)
+    (rows,), wpos = _ensemble(cfg, grid, range(cfg.replicates), probe, log_residual)
     acc = CovarianceAccumulator(wpos)
     for rid, row in enumerate(rows):
         acc.add(rid, row)
@@ -651,36 +668,16 @@ def _run_covariance(cfg: ExperimentConfig):
     return tables, verdicts, extras
 
 
-def _clt_residuals(cfg: ExperimentConfig, grid, times, n_max, ids):
-    """(residual rows on [0, n_max] per time, in the order of ids; window
-    positions); relative-mode engine."""
-    steps = [grid.step_of(t) for t in times]
-    rows_at, wpos = _ensemble(cfg, grid, ids, steps, "relative", 0.0, n_max,
-                              _relative_residual)
-    for t, rows in zip(times, rows_at):
-        if not np.isfinite(rows).all():
-            raise RuntimeError(
-                f"residual window [0, {n_max:g}] not fully inside the "
-                f"noise cone at t={t:g}; enlarge t or shrink N")
-    return rows_at, wpos
-
-
-def _tilted_ratio_at(grid, x, t):
-    """sim.tilted_variance_ratio at the walk speed (x/t) dt/dx cells/step of
-    a read at x and time t (reported, not a verdict)."""
-    return tilted_variance_ratio(grid, x / t * grid.dt / grid.dx)
-
-
 def _run_clt(cfg: ExperimentConfig):
     grid = cfg.grid()
-    t = cfg.times[-1]
     n_values = [float(N) for N in cfg.n_values]
-    n_max = max(n_values)
+    (probe,) = _probes(cfg, grid)
+    _, _, _, (t,), _ = probe
     # calibration pass: grand mean of the residual over the bulk
     cal_ids = range(cfg.replicates, cfg.replicates + cfg.calibration_replicates)
-    (cal_rows,), _ = _clt_residuals(cfg, grid, [t], n_max, cal_ids)
+    (cal_rows,), _ = _ensemble(cfg, grid, cal_ids, probe, _relative_residual)
     m_hat = float(np.mean([r.mean() for r in cal_rows]))
-    (rows,), wpos = _clt_residuals(cfg, grid, [t], n_max, range(cfg.replicates))
+    (rows,), wpos = _ensemble(cfg, grid, range(cfg.replicates), probe, _relative_residual)
     tables = {"clt": []}
     verdicts = []
     ratios = {}
@@ -713,20 +710,25 @@ def _run_clt(cfg: ExperimentConfig):
     verdicts.append(_verdict(
         f"X_N Gaussianity: KS does not reject at {KS_SIGNIFICANCE}",
         not rep.reject, {"p_value": rep.p_value, "statistic": rep.statistic}))
+    # reported, not verdicts: the exact continuum first chaos over 2t per N,
+    # and the tilted variance ratio at the speed of the walk to the farthest read
     extras = {"m_hat": m_hat,
               "ratios": {str(N): {"ratio": ratios[N][0], "se": ratios[N][1]}
                          for N in n_values},
-              "tilted_variance_ratio": _tilted_ratio_at(grid, n_max, t)}
+              "continuum_first_chaos": {
+                  str(N): continuum_first_chaos(t, t, N).value / (2.0 * t)
+                  for N in n_values},
+              "tilted_variance_ratio": tilted_variance_ratio(grid, _reach(grid, *probe[1:4])[1])}
     return tables, verdicts, extras
 
 
 def _run_fdd(cfg: ExperimentConfig):
     grid = cfg.grid()
-    times = [float(t) for t in cfg.times]
-    N = float(cfg.n_values[0])
-    rows, wpos = _clt_residuals(cfg, grid, times, N, range(cfg.replicates))
+    (probe,) = _probes(cfg, grid)
+    _, _, N, _, _ = probe
+    rows, wpos = _ensemble(cfg, grid, range(cfg.replicates), probe, _relative_residual)
     a, b = (spatial_averages(r, wpos, grid.dx, N) for r in rows)
-    t1, t2 = times
+    t1, t2 = (float(t) for t in cfg.times)
     cov, se = fdd_covariance(a, b)
     target = 2.0 * min(t1, t2)
     ratio = cov / target
@@ -737,7 +739,8 @@ def _run_fdd(cfg: ExperimentConfig):
         BAND_FDD_RATIO[0] <= ratio <= BAND_FDD_RATIO[1],
         {"ratio": ratio, "se": se / target})]
     extras = {"cov": cov, "se": se, "ratio": ratio,
-              "tilted_variance_ratio": _tilted_ratio_at(grid, N, min(times))}
+              "continuum_first_chaos": continuum_first_chaos(t1, t2, N).value / target,
+              "tilted_variance_ratio": tilted_variance_ratio(grid, _reach(grid, *probe[1:4])[1])}
     return tables, verdicts, extras
 
 
@@ -829,13 +832,10 @@ def _run_diagnostics(cfg: ExperimentConfig):
     extras = {}
     grid = cfg.grid()
     t = cfg.times[-1]
+    probes = {probe[0]: probe for probe in _probes(cfg, grid)}
     # first-moment identity: E[Z(t,x)]/p_t(x) in 1 +- (3 SE + 2%)
-    xmax = cfg.first_moment_xmax
-    k = grid.step_of(t)
     reps = range(cfg.replicates)
-    # absolute-engine reads as (t, |x|), for the underflow margin
-    reads = [(t, xmax)]
-    (rows,), wsel = _ensemble(cfg, grid, reps, [k], "absolute", -xmax, xmax, _gbar)
+    (rows,), wsel = _ensemble(cfg, grid, reps, probes["first_moment_xmax"], _gbar)
     mean, se = mean_se(rows)
     dev = np.abs(mean - 1.0)
     tol = 3.0 * se + 0.02
@@ -845,7 +845,7 @@ def _run_diagnostics(cfg: ExperimentConfig):
         ("mean_gbar", t, x, m, s, rows.shape[0])
         for x, m, s in zip(wsel, mean, se)]
     verdicts.append(_verdict(
-        f"first moment: E[Z]/p in 1 +- (3 SE + 2%) for |x| <= {xmax:g}",
+        f"first moment: E[Z]/p in 1 +- (3 SE + 2%) for |x| <= {cfg.first_moment_xmax:g}",
         ok, {"worst_x": float(wsel[worst]), "worst_dev": float(dev[worst]),
              "worst_tol": float(tol[worst])}))
     extras["first_moment_worst"] = {"x": float(wsel[worst]),
@@ -853,10 +853,7 @@ def _run_diagnostics(cfg: ExperimentConfig):
     # Hoelder diagnostic: || Z(s,0)/p_s(0) - 1 ||_2 ~ s^{1/4}
     if cfg.holder_s_values:
         svals = [float(s) for s in cfg.holder_s_values]
-        steps = [grid.step_of(s) for s in svals]
-        x0 = float(grid.positions()[grid.origin_index])
-        reads += [(s, abs(x0)) for s in svals]
-        cols, _ = _ensemble(cfg, grid, reps, steps, "absolute", x0, x0, _center_gbar)
+        cols, _ = _ensemble(cfg, grid, reps, probes["holder_s_values"], _center_gbar)
         norms = []
         tables["holder"] = []
         for s, g in zip(svals, cols):
@@ -871,11 +868,8 @@ def _run_diagnostics(cfg: ExperimentConfig):
         extras["holder_exponent"] = float(slope)
     # second-moment oracle equivalence at the gbar probe
     if cfg.gbar_probe:
-        probe = {**_GBAR_PROBE_DEFAULTS, **cfg.gbar_probe}
-        pt, px = float(probe["t"]), float(probe["x"])
-        kstep = grid.step_of(pt)
-        reads.append((pt, abs(px)))
-        (g,), _ = _ensemble(cfg, grid, reps, [kstep], "absolute", px, px, _gbar)
+        _, px, _, (pt,), _ = probes["gbar_probe.x"]
+        (g,), _ = _ensemble(cfg, grid, reps, probes["gbar_probe.x"], _gbar)
         mc, mc_se = mean_se(g[:, 0] ** 2)
         ref = second_moment_volterra(pt, px, px)
         tables["gbar_moment"] = [
@@ -888,8 +882,11 @@ def _run_diagnostics(cfg: ExperimentConfig):
             abs(mc - ref) <= tol,
             {"mc": mc, "mc_se": mc_se, "oracle": ref, "tolerance": tol}))
         extras["gbar_moment"] = {"mc": mc, "se": mc_se, "oracle": ref}
-    # >= 0 when every read cell lies inside the read radius of its time
-    extras["underflow_margin"] = min(read_radius(grid, tt) - x for tt, x in reads)
+    # >= 0 when every absolute-engine cell lies inside the read radius at
+    # its probe's earliest time
+    extras["underflow_margin"] = min(
+        read_radius(grid, min(times)) - _reach(grid, lo, hi, times)[0]
+        for _, lo, hi, times, mode in probes.values() if mode == "absolute")
     return tables, verdicts, extras
 
 

@@ -18,14 +18,15 @@ Two propagation directions are used:
     convolutions and diagonal noise factors, so one backward pass from a
     probe cell yields G(t, x_probe; s, z) for *every* source position z at
     once.  That is what makes the z-integral of the shift identity a single
-    dx-weighted grid sum instead of one simulation per grid cell.
+    dx-weighted grid sum instead of one simulation per grid cell.  It is
+    the forward sweep over the factor rows in reverse, plus one convolution.
 
-Each pass writes into two buffers allocated once per pass: the heat step
+Each sweep writes into two buffers allocated once per sweep: the heat step
 convolves into the spare one (convolve1d(output=)), the two swap, and the
 noise factors multiply in place.  The forward pass overwrites the `fields`
-it is given; the adjoint pass copies its input row once and leaves it as
-it was.  The operations and their order are those of the allocating form,
-so every value keeps its bits.
+it is given; the adjoint pass leaves its input row as it was, and its
+last convolution allocates its result.  The operations and their order are those of the allocating form, so every
+value keeps its bits.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class ShiftIdentityCheck:
 
 
 def _forward(grid, fields, factors, k0, k1):
-    """Advance the rows of `fields` from step k0 to step k1.
+    """Advance the rows of `fields`, a (sources, n) block or one (n,) row,
+    from step k0 to step k1.
 
     Step k convolves every row with the heat step and multiplies it by the
     noise factors factors[k].  A zero row stays zero, since both steps fix
@@ -87,38 +89,56 @@ def _forward(grid, fields, factors, k0, k1):
     w = heat_step_weights(grid.dx, grid.dt)
     spare = np.empty_like(fields)
     for f in factors[k0:k1]:
-        convolve1d(fields, w, axis=1, output=spare, mode="constant", cval=0.0)
+        convolve1d(fields, w, axis=-1, output=spare, mode="constant", cval=0.0)
         fields, spare = spare, fields
         fields *= f
     return fields
 
 
 def _adjoint(grid, v, factors, k0, k1):
-    """Apply the transposed steps k1 - 1 down to k0 to the row v.
+    """Apply the transposed steps k1 - 1 down to k0 to the row v (unchanged).
 
     The forward propagator over those steps is M = prod_k (N_k C) with C
     the symmetric heat convolution and N_k the diagonal noise factors, so
-    M^T v is one backward sweep: multiply by N_k, then convolve.  The sweep
-    runs in a copy of v and one spare buffer; v itself is left unchanged.
+    M^T v = C N_k0 ... C N_{k1-1} v: the forward sweep of N_{k1-1} v over
+    the factors of steps k1 - 2 down to k0, then one more convolution.
     """
-    w = heat_step_weights(grid.dx, grid.dt)
-    v = v.copy()
-    spare = np.empty_like(v)
-    for f in factors[k0:k1][::-1]:
-        v *= f
-        convolve1d(v, w, output=spare, mode="constant", cval=0.0)
-        v, spare = spare, v
-    return v
+    swept = _forward(grid, v * factors[k1 - 1], factors[k0:k1 - 1][::-1], 0, k1 - 1 - k0)
+    return convolve1d(swept, heat_step_weights(grid.dx, grid.dt), mode="constant", cval=0.0)
+
+
+def _shift_terms(grid, t, s, x, y):
+    """At probe (x, y): the z-weight p_{s(t-s)/t}(z + y - (s/t) x), the mask
+    of the z it keeps, their z + y cells, p_{t-s}(x - y), p_t(x), and, on the
+    kept z, p_{t-s}(z) and p_s(z + y)."""
+    z = grid.positions()
+    w_gauss = heat_kernel(s * (t - s) / t, z + y - (s / t) * x)
+    keep = w_gauss > w_gauss.max() * _WEIGHT_CUT
+    zy = np.flatnonzero(keep) + (grid.index_of(y) - grid.origin_index)
+    return (w_gauss, keep, zy, heat_kernel(t - s, x - y), heat_kernel(t, x),
+            heat_kernel(t - s, z[keep]), heat_kernel(s, z[keep] + y))
 
 
 def shift_window_cut(grid: GridSpec, t: float, s: float, x: float, y: float):
-    """Why the grid cuts the rhs z-window of the shift identity at probe
-    (x, y), or None: the Gaussian p_{s(t-s)/t}(z + y - (s/t) x) summed over
-    grid cells z must pass the grid's truncation rule."""
+    """Why shift_identity_samples refuses the probe (x, y) at times s < t,
+    or None: times off the dt lattice or not 0 < s < t, a probe off the
+    grid, a z-window that is empty, leaves the grid or is cut by the
+    truncation rule, or a heat kernel either side divides by that is 0."""
+    try:
+        kt, ks, _, _ = grid.step_of(t), grid.step_of(s), grid.index_of(x), grid.index_of(y)
+    except ValueError as e:
+        return str(e)
+    if not 0 < ks < kt:
+        return "need 0 < s < t on the dt lattice"
+    _, _, zy, *kernels = _shift_terms(grid, t, s, x, y)
+    if not zy.size or zy[0] < 0 or zy[-1] >= grid.cell_count:
+        return "the Gaussian z-window is empty or z + y leaves the grid"
     centre = abs((s / t) * x - y)
     if not grid.covers(s * (t - s) / t, centre):
         return (f"the rhs z-window around z = {centre:g} is cut by the grid "
                 f"edge at {grid.half_width:g}")
+    if any(np.any(p == 0.0) for p in kernels):
+        return "probe configuration reaches heat-kernel underflow"
     return None
 
 
@@ -133,33 +153,17 @@ def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,
     One merged forward pass carries both sources (0,0) and (s,y) and
     checkpoints the (0,0) field at time s; one adjoint pass supplies the
     whole G(t,0;s,.) family.  Identical noise coordinates throughout.
-    Raises ValueError when no z-cell carries Gaussian weight, a kept z + y
-    cell lies outside the grid, or shift_window_cut finds the window cut.
+    Raises ValueError with the reason shift_window_cut gives when it
+    refuses the probe.
     """
-    kt, ks = grid.step_of(t), grid.step_of(s)
-    if not 0 < ks < kt:
-        raise ValueError("need 0 < s < t on the dt lattice")
-    n = grid.cell_count
-    ix = grid.index_of(x)
-    iy = grid.index_of(y)
-    i0 = grid.origin_index
-    z = grid.positions()
-    w_gauss = heat_kernel(s * (t - s) / t, z + y - (s / t) * x)
-    keep = w_gauss > w_gauss.max() * _WEIGHT_CUT
-    zy = np.flatnonzero(keep) + (iy - i0)     # cells of z + y
-    if not zy.size or zy[0] < 0 or zy[-1] >= n:
-        raise ValueError("the Gaussian z-window is empty or z + y leaves the grid")
     cut = shift_window_cut(grid, t, s, x, y)
     if cut:
         raise ValueError(cut)
-
-    p_ts_xy = heat_kernel(t - s, x - y)
-    p_t_x = heat_kernel(t, x)
+    kt, ks = grid.step_of(t), grid.step_of(s)
+    n = grid.cell_count
+    ix, iy, i0 = grid.index_of(x), grid.index_of(y), grid.origin_index
+    w_gauss, keep, zy, p_ts_xy, p_t_x, p_ts_z, p_s_zy = _shift_terms(grid, t, s, x, y)
     p_ts_0 = heat_kernel(t - s, 0.0)
-    p_ts_z = heat_kernel(t - s, z[keep])      # |0 - z| symmetric
-    p_s_zy = heat_kernel(s, z[keep] + y)
-    if min(p_ts_xy, p_t_x) == 0.0 or np.any(p_ts_z == 0.0) or np.any(p_s_zy == 0.0):
-        raise ValueError("probe configuration reaches heat-kernel underflow")
 
     rng = _FastNormals(master_seed)
     lhs_vals, rhs_vals = [], []

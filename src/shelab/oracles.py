@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erf, erfcx, exp1
+from scipy.special import erf, erfcx, exp1, ndtr
 
 from .kernels import fourier_indicator, heat_kernel
 
@@ -34,6 +34,7 @@ __all__ = [
     "lemma_s0",
     "lemma_2",
     "lemma_y",
+    "continuum_first_chaos",
     "second_moment_volterra",
 ]
 
@@ -227,6 +228,38 @@ def lemma_y(t1: float, t2: float, N: float) -> QuadratureResult:
     return QuadratureResult(value=res.value / t2,
                             abs_error_estimate=res.abs_error_estimate / t2,
                             evaluations=res.evaluations)
+
+
+def continuum_first_chaos(t1: float, t2: float, N: float) -> QuadratureResult:
+    """The continuum first chaos of Cov[X_N(t1), X_N(t2)]:
+
+    (N log N)^-1 int_0^{t1^t2} (t1 t2 / s^2) [I(A) - I(0) - I(A-B) + I(-B)] ds,
+
+    with A = sN/t1, B = sN/t2, sigma^2 = s(t1-s)/t1 + s(t2-s)/t2 and
+    I(c) = c Phi(c/sigma) + sigma phi(c/sigma).  I'' is the normal density
+    of variance sigma^2, so the bracket is its double integral over
+    [0, A] x [0, B] at the difference of the two points.  At t1 = t2 = t it
+    equals 2 int_0^N (N - x) R(x) dx / (N log N), R = reduced_cov_integral.
+    Over 2 (t1^t2) it tends to 1 as N grows (0.827 at N = 50, t = 1), faster
+    than lemma_twotime/2.  The integrand goes like s^{-1/2} at s = 0, which
+    s = u^2 removes.
+    """
+    if min(t1, t2) <= 0 or N <= 1:
+        raise ValueError("need t1, t2 > 0 and N > 1")
+
+    def I(c, sigma):
+        return (c * ndtr(c / sigma)
+                + sigma * math.exp(-0.5 * (c / sigma) ** 2) / math.sqrt(2 * math.pi))
+
+    def f(u):
+        s = u * u
+        a, b = s * N / t1, s * N / t2
+        sigma = math.sqrt(s * (t1 - s) / t1 + s * (t2 - s) / t2)
+        bracket = I(a, sigma) - I(0.0, sigma) - I(a - b, sigma) + I(-b, sigma)
+        return 2.0 * u * t1 * t2 / (s * s) * bracket
+
+    res = _quad(f, 0.0, math.sqrt(min(t1, t2)), limit=200)
+    return _scaled(res, 1.0 / (N * math.log(N)))
 
 
 # ---------------------------------------------------------------------------

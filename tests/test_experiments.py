@@ -171,6 +171,22 @@ def test_clt_and_fdd_report_the_tilted_variance_ratio(tmp_path):
         assert not any("tilt" in p.read_text() for p in out.glob("*.csv"))
 
 
+def test_clt_and_fdd_report_the_continuum_first_chaos(tmp_path):
+    # the exact continuum first chaos over 2 (t1 ^ t2), beside each clt ratio
+    # and the fdd ratio, in report.json and no CSV
+    from shelab.oracles import continuum_first_chaos
+    clt = run(_tiny_clt_cfg(out_dir=str(tmp_path / "clt"))).extras
+    assert clt["continuum_first_chaos"] == {
+        str(N): continuum_first_chaos(0.5, 0.5, N).value for N in (5.0, 10.0)}
+    assert clt["continuum_first_chaos"].keys() == clt["ratios"].keys()
+    fdd = run(_tiny_fdd_cfg(out_dir=str(tmp_path / "fdd"))).extras
+    assert fdd["continuum_first_chaos"] == continuum_first_chaos(0.25, 0.5, 5.0).value / 0.5
+    for kind in ("clt", "fdd"):
+        report = json.loads((tmp_path / kind / "report.json").read_text())
+        assert "continuum_first_chaos" in report["extras"]
+        assert not any("chaos" in p.read_text() for p in (tmp_path / kind).glob("*.csv"))
+
+
 @pytest.mark.parametrize("make, over, needle", [
     (_tiny_shift_cfg, dict(shift_s=0.2501), "shift_s"),            # off the dt lattice
     (_tiny_shift_cfg, dict(shift_probes=[[0.03, 0.0]]), "shift_probes"),  # off dx lattice
@@ -192,6 +208,18 @@ def test_clt_and_fdd_report_the_tilted_variance_ratio(tmp_path):
     (_tiny_cov_cfg, dict(out_dir=5), "out_dir must be a string"),
     (_tiny_fdd_cfg, dict(replicates=2), "fdd needs replicates >= 3"),  # NaN jackknife SE
     (_tiny_cov_cfg, dict(times=[0.01], bulk_window=[-2.5, 2.5]), "noise cone"),
+    # 22 cells, none at x = 0: the engine would refuse the empty window
+    (_tiny_diag_cfg, dict(half_width=1.05, times=[0.01], first_moment_xmax=0.0,
+                          holder_s_values=[], gbar_probe={}), "first_moment_xmax"),
+    (_tiny_cov_cfg, dict(bulk_window=[0.01, 0.02], lags=[0.0]), "bulk_window"),  # no cell
+    # one cell: CovarianceAccumulator.finalize would fail after the ensemble
+    (_tiny_cov_cfg, dict(bulk_window=[-0.05, 0.05], lags=[0.0]), "bulk_window"),
+    # the 61 cells of [-3.05, 3.05] span 6.0, not 6.1
+    (_tiny_cov_cfg, dict(bulk_window=[-3.05, 3.05], lags=[0.0, 6.1]),
+     "lag 6.1 exceeds the span 6 of the bulk_window cells"),
+    # p_{t-s}(x - y) = p_0.05(10) underflows to 0
+    (_tiny_shift_cfg, dict(half_width=15.0, shift_s=0.45, shift_probes=[[5.0, -5.0]]),
+     "shift_probes (5, -5): probe configuration reaches heat-kernel underflow"),
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     make().validate()
@@ -550,3 +578,93 @@ def test_cli_config_file_takes_kind_from_subcommand(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "invalid experiment config" in err and "replicates" in err
+
+
+
+_COV = dict(dx=0.1, half_width=12.0, times=[0.5], replicates=24)
+
+
+@pytest.mark.parametrize("command, body, needle", [
+    ("diagnostics", dict(dx=0.1, half_width=1.05, times=[0.01], replicates=8,
+                         first_moment_xmax=0.0), "first_moment_xmax"),
+    ("covariance", dict(_COV, bulk_window=[0.01, 0.02], lags=[0.0]), "bulk_window"),
+    ("covariance", dict(_COV, bulk_window=[-0.05, 0.05], lags=[0.0]), "bulk_window"),
+    ("covariance", dict(_COV, bulk_window=[-3.05, 3.05], lags=[0.0, 6.1]), "bulk_window"),
+    ("shift-check", dict(dx=0.05, half_width=15.0, times=[0.5], shift_s=0.45,
+                         shift_probes=[[5.0, -5.0]], replicates=8), "shift_probes"),
+])
+def test_cli_exits_2_on_a_probe_the_scheme_cannot_serve(tmp_path, capsys, command,
+                                                        body, needle):
+    # every field passes its own rule, but the engine, the covariance
+    # reduction or the shift identity cannot serve the probe: one message
+    # naming the field, no traceback and no run directory
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(body))
+    rc = cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+# small edge configs of every kind: odd and even cell counts (half_width
+# 3.0 gives 61 cells with one at x = 0, 2.95 gives 60 at the half cells),
+# windows of 0, 1 and 2 cells, a lag at the cell span, reads at the noise
+# cone's edge, and shift probes either side of heat-kernel underflow; True
+# when validate() must refuse the config
+_EDGE_COV = dict(kind="covariance", dx=0.1, half_width=3.0, times=[0.05], replicates=4)
+_EDGE_CLT = dict(kind="clt", dx=0.1, half_width=5.0, times=[0.05], n_values=[3.0],
+                 replicates=50, calibration_replicates=2)
+_EDGE_DIAG = dict(kind="diagnostics", dx=0.1, half_width=1.0, times=[0.01],
+                  replicates=4, first_moment_xmax=0.0)
+_EDGE_SHIFT = dict(kind="shift_check", dx=0.1, half_width=12.0, times=[0.5],
+                   shift_s=0.45, replicates=4)
+_EDGE_CONFIGS = {
+    "cov-0-cells": (dict(_EDGE_COV, bulk_window=[0.01, 0.02], lags=[0.0]), True),
+    "cov-1-cell": (dict(_EDGE_COV, bulk_window=[-0.05, 0.05], lags=[0.0]), True),
+    "cov-2-cells-lag-at-span": (dict(_EDGE_COV, bulk_window=[0.0, 0.1], lags=[0.0, 0.1]),
+                                False),
+    "cov-lag-at-span": (dict(_EDGE_COV, bulk_window=[-1.05, 1.05], lags=[0.0, 2.0]), False),
+    "cov-lag-past-span": (dict(_EDGE_COV, bulk_window=[-1.05, 1.05], lags=[0.0, 2.1]),
+                          True),
+    "cov-default-window": (dict(_EDGE_COV, lags=[0.0, 0.5]), False),
+    "cov-even-1-cell": (dict(_EDGE_COV, half_width=2.95, bulk_window=[0.0, 0.1],
+                             lags=[0.0]), True),
+    "cov-even-lag-at-span": (dict(_EDGE_COV, half_width=2.95, bulk_window=[-0.5, 0.5],
+                                  lags=[0.0, 0.9]), False),
+    "clt-odd": (_EDGE_CLT, False),
+    "clt-even": (dict(_EDGE_CLT, half_width=4.95, n_values=[3.05]), False),
+    "clt-cone-edge": (dict(_EDGE_CLT, times=[0.015], n_values=[3.3]), False),
+    "clt-past-cone": (dict(_EDGE_CLT, times=[0.015], n_values=[3.4]), True),
+    "fdd-odd": (dict(_EDGE_CLT, kind="fdd", times=[0.025, 0.05], replicates=3), False),
+    "fdd-even": (dict(_EDGE_CLT, kind="fdd", half_width=4.95, times=[0.025, 0.05],
+                      n_values=[3.05], replicates=3), False),
+    "fdd-early-past-cone": (dict(_EDGE_CLT, kind="fdd", times=[0.01, 0.05], replicates=3),
+                            True),
+    "diag-even-0-cells": (dict(_EDGE_DIAG, half_width=1.05), True),
+    "diag-1-cell": (_EDGE_DIAG, False),
+    "diag-even-2-cells-holder": (dict(_EDGE_DIAG, half_width=1.05, first_moment_xmax=0.05,
+                                      holder_s_values=[0.005, 0.01]), False),
+    "diag-gbar-cone-edge": (dict(_EDGE_DIAG, half_width=3.0,
+                                 gbar_probe={"t": 0.01, "x": 2.2}), False),
+    "diag-gbar-past-cone": (dict(_EDGE_DIAG, half_width=3.0,
+                                 gbar_probe={"t": 0.01, "x": 2.3}), True),
+    "shift-near-underflow": (dict(_EDGE_SHIFT, shift_probes=[[3.7, -3.7]]), False),
+    "shift-underflow": (dict(_EDGE_SHIFT, shift_probes=[[3.8, -3.8]]), True),
+    "shift-first-and-last-step": (dict(_EDGE_SHIFT, half_width=7.0, shift_s=0.495,
+                                       times=[0.5], shift_probes=[[0.0, 0.0]]), False),
+    "oracle": (dict(kind="oracle_suite"), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_CONFIGS))
+def test_edge_configs_are_refused_or_run(name):
+    # validate() raises ConfigError or run() completes; any other exception
+    # fails the test
+    body, refused = _EDGE_CONFIGS[name]
+    cfg = ExperimentConfig(**body)
+    if refused:
+        with pytest.raises(ConfigError):
+            cfg.validate()
+    else:
+        run(cfg)

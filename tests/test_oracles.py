@@ -6,9 +6,10 @@ from scipy.integrate import quad
 from scipy.special import erfc, exp1
 
 from shelab.oracles import (_cos_gauss_primitive, _twotime_inner,
-                            _twotime_inner_numeric, lemma_2, lemma_s0,
-                            lemma_twotime, lemma_y, limiting_constant,
-                            reduced_cov_integral, second_moment_volterra)
+                            _twotime_inner_numeric, continuum_first_chaos,
+                            lemma_2, lemma_s0, lemma_twotime, lemma_y,
+                            limiting_constant, reduced_cov_integral,
+                            second_moment_volterra)
 
 
 def test_limiting_constant_is_two_for_all_t():
@@ -226,3 +227,33 @@ def test_volterra_rejects_nonpositive_t():
     for t in (0.0, -0.5):
         with pytest.raises(ValueError):
             second_moment_volterra(t, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("t1, t2, N, ratio", [
+    (1.0, 1.0, 50.0, 0.8271),
+    (1.0, 1.0, 100.0, 0.8494),
+    (1.0, 1.0, 200.0, 0.8674),
+    (1.0, 2.0, 100.0, 0.8490),
+    (2.0, 1.0, 100.0, 0.8490),
+])
+def test_continuum_first_chaos_ratio_to_two_t(t1, t2, N, ratio):
+    # over 2 (t1 ^ t2) it rises towards 1 with N, above lemma_twotime/2
+    res = continuum_first_chaos(t1, t2, N)
+    assert res.value / (2.0 * min(t1, t2)) == pytest.approx(ratio, abs=5e-5)
+    assert res.abs_error_estimate < 1e-8
+
+
+def test_continuum_first_chaos_equals_the_covariance_integral_at_one_time():
+    # at t1 = t2 = t: 2 int_0^N (N - x) R(x) dx / (N log N), R the first-chaos
+    # height covariance reduced_cov_integral(t, x)
+    N, t = 50.0, 1.0
+    inner = quad(lambda x: (N - x) * reduced_cov_integral(t, x).value, 0.0, N,
+                 epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    assert continuum_first_chaos(t, t, N).value == pytest.approx(
+        2.0 * inner / (N * math.log(N)), rel=1e-12)
+
+
+def test_continuum_first_chaos_preconditions():
+    for args in ((0.0, 1.0, 50.0), (1.0, -1.0, 50.0), (1.0, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            continuum_first_chaos(*args)
