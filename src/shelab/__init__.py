@@ -17,7 +17,7 @@ from .kernels import (fourier_indicator, heat_kernel, kernel_product_identity,
                       kernel_shift_identity, log_heat_kernel)
 from .noise import NoiseStream, ZeroNoise
 from .sim import GridSpec, default_grid, evolve, heat_step, noise_step
-from .green import ShiftIdentityCheck, shift_identity_samples
+from .green import shift_identity_samples
 from .stats import (CovarianceAccumulator, CovarianceEstimate, TestReport,
                     fdd_covariance, ks_normality)
 from .oracles import (QuadratureResult, lemma_2, lemma_s0, lemma_twotime,

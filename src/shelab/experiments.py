@@ -31,10 +31,10 @@ from scipy import stats as sps
 
 from . import __version__ as _VERSION
 from .kernels import log_heat_kernel
-from .green import ShiftIdentityCheck, shift_identity_samples, shift_window_cut
-from .oracles import (continuum_first_chaos, lemma_2, lemma_s0, lemma_twotime,
-                      lemma_y, limiting_constant, reduced_cov_integral,
-                      second_moment_volterra)
+from .green import shift_identity_samples, shift_window_cut
+from .oracles import (continuum_first_chaos, lattice_first_chaos, lemma_2,
+                      lemma_s0, lemma_twotime, lemma_y, limiting_constant,
+                      reduced_cov_integral, second_moment_volterra)
 from .sim import (GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights,
                   log_residual, read_radius, tilted_variance_ratio)
 from .stats import (KS_MIN_SAMPLES, CovarianceAccumulator, ks_normality,
@@ -349,10 +349,9 @@ def _truncation_violations(grid, name, x, t):
 
 def _reach(grid, lo, hi, times):
     """(|x| of the farthest cell of grid.window(lo, hi), the cells per step
-    that the walk from the origin cell takes to it by the earliest time)."""
-    cells = grid.window(lo, hi)
-    return (float(np.abs(grid.positions()[cells]).max()),
-            int(np.abs(cells - grid.origin_index).max()) / grid.step_of(min(times)))
+    that the walk from the x = 0 cell takes to it by the earliest time)."""
+    far = int(np.abs(grid.window(lo, hi) - grid.origin_index).max())
+    return far * grid.dx, far / grid.step_of(min(times))
 
 
 def _probes(cfg, grid):
@@ -374,8 +373,7 @@ def _probes(cfg, grid):
     xmax = cfg.first_moment_xmax
     probes = [("first_moment_xmax", -xmax, xmax, [t], "absolute")]
     if cfg.holder_s_values:
-        x0 = float(grid.positions()[grid.origin_index])
-        probes.append(("holder_s_values", x0, x0, cfg.holder_s_values, "absolute"))
+        probes.append(("holder_s_values", 0.0, 0.0, cfg.holder_s_values, "absolute"))
     if cfg.gbar_probe:
         gbar = {**_GBAR_PROBE_DEFAULTS, **cfg.gbar_probe}
         px = float(gbar["x"])
@@ -408,6 +406,22 @@ def _probe_violations(cfg, grid):
                        f"|x| <= {r:.3f} at t={t0:g}")
         bad += _truncation_violations(grid, name, x, max(times))
     return bad
+
+
+def _regime_extras(cfg, grid):
+    """underflow_margin, the least over the absolute probes of the read radius
+    at the earliest time minus |x| of the farthest cell (>= 0 when every read
+    keeps its bits), and tilted_variance_ratio at the relative probe's speed."""
+    extras, margins = {}, []
+    for _, lo, hi, times, mode in _probes(cfg, grid):
+        x, speed = _reach(grid, lo, hi, times)
+        if mode == "absolute":
+            margins.append(read_radius(grid, min(times)) - x)
+        else:
+            extras["tilted_variance_ratio"] = tilted_variance_ratio(grid, speed)
+    if margins:
+        extras["underflow_margin"] = min(margins)
+    return extras
 
 
 def _time_violations(grid, name, times):
@@ -572,12 +586,6 @@ def _gbar(Z, t, x):
         return np.where(Z == 0.0, 0.0, Z * np.exp(-log_heat_kernel(t, x)))
 
 
-def _center_gbar(Z, t, x):
-    """Z(t, 0) / p_t(0) on a one-cell window at the origin cell.  The scalar
-    math.exp is kept: np.exp differs in the last bit at some steps."""
-    return Z[:, 0] * math.exp(-float(log_heat_kernel(t, 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # experiment drivers
 # ---------------------------------------------------------------------------
@@ -664,7 +672,8 @@ def _run_covariance(cfg: ExperimentConfig):
         min_p >= alpha, {"min_p": min_p, "threshold": alpha}))
     extras = {"fit": None if fitres is None else asdict(fitres),
               "estimate": {"lags": est.lags.tolist(), "cov": est.cov.tolist(),
-                           "se": est.se.tolist(), "n_effective": est.n_effective.tolist()}}
+                           "se": est.se.tolist(), "n_effective": est.n_effective.tolist()},
+              **_regime_extras(cfg, grid)}
     return tables, verdicts, extras
 
 
@@ -710,15 +719,14 @@ def _run_clt(cfg: ExperimentConfig):
     verdicts.append(_verdict(
         f"X_N Gaussianity: KS does not reject at {KS_SIGNIFICANCE}",
         not rep.reject, {"p_value": rep.p_value, "statistic": rep.statistic}))
-    # reported, not verdicts: the exact continuum first chaos over 2t per N,
-    # and the tilted variance ratio at the speed of the walk to the farthest read
+    # reported, not verdicts: the exact continuum first chaos over 2t per N
     extras = {"m_hat": m_hat,
               "ratios": {str(N): {"ratio": ratios[N][0], "se": ratios[N][1]}
                          for N in n_values},
               "continuum_first_chaos": {
                   str(N): continuum_first_chaos(t, t, N).value / (2.0 * t)
                   for N in n_values},
-              "tilted_variance_ratio": tilted_variance_ratio(grid, _reach(grid, *probe[1:4])[1])}
+              **_regime_extras(cfg, grid)}
     return tables, verdicts, extras
 
 
@@ -738,9 +746,11 @@ def _run_fdd(cfg: ExperimentConfig):
         f"Cov[X_N({t1:g}), X_N({t2:g})]/{target:g} in {BAND_FDD_RATIO}",
         BAND_FDD_RATIO[0] <= ratio <= BAND_FDD_RATIO[1],
         {"ratio": ratio, "se": se / target})]
+    # reported, not verdicts: the continuum and the lattice first chaos
     extras = {"cov": cov, "se": se, "ratio": ratio,
               "continuum_first_chaos": continuum_first_chaos(t1, t2, N).value / target,
-              "tilted_variance_ratio": tilted_variance_ratio(grid, _reach(grid, *probe[1:4])[1])}
+              "lattice_first_chaos": lattice_first_chaos(grid, (t1, t2), N)[0, 1] / target,
+              **_regime_extras(cfg, grid)}
     return tables, verdicts, extras
 
 
@@ -754,21 +764,20 @@ def _run_shift_check(cfg: ExperimentConfig):
     for (x, y) in cfg.shift_probes:
         results = _chunk_map(cfg, grid, shift_identity_samples,
                              range(cfg.replicates), t, s, float(x), float(y))
-        chk = ShiftIdentityCheck.from_samples(
-            np.concatenate([r[0] for r in results]),
-            np.concatenate([r[1] for r in results]),
-            sum(r[2] for r in results))
-        tol = 3.0 * chk.combined_se + 0.05 * abs(chk.lhs)
+        lhs, rhs = (np.concatenate([r[i] for r in results]) for i in (0, 1))
+        (lhs_m, lhs_se), (rhs_m, rhs_se) = (map(float, mean_se(v)) for v in (lhs, rhs))
+        dropped = sum(r[2] for r in results)
+        tol = 3.0 * math.hypot(lhs_se, rhs_se) + 0.05 * abs(lhs_m)
         key = f"x={x:g},y={y:g}"
-        tables["shift"].append((f"shift_lhs_{key}", t, s, chk.lhs, chk.lhs_se, chk.n_used))
-        tables["shift"].append((f"shift_rhs_{key}", t, s, chk.rhs, chk.rhs_se, chk.n_used))
+        tables["shift"].append((f"shift_lhs_{key}", t, s, lhs_m, lhs_se, lhs.size))
+        tables["shift"].append((f"shift_rhs_{key}", t, s, rhs_m, rhs_se, lhs.size))
         verdicts.append(_verdict(
             f"shift identity at ({key}): |lhs-rhs| <= 3 SE + 5%",
-            abs(chk.lhs - chk.rhs) <= tol,
-            {"lhs": chk.lhs, "rhs": chk.rhs, "diff": chk.lhs - chk.rhs,
-             "tolerance": tol, "dropped": chk.n_dropped}))
-        details[key] = {"lhs": chk.lhs, "lhs_se": chk.lhs_se, "rhs": chk.rhs,
-                        "rhs_se": chk.rhs_se, "dropped": chk.n_dropped}
+            abs(lhs_m - rhs_m) <= tol,
+            {"lhs": lhs_m, "rhs": rhs_m, "diff": lhs_m - rhs_m,
+             "tolerance": tol, "dropped": dropped}))
+        details[key] = {"lhs": lhs_m, "lhs_se": lhs_se, "rhs": rhs_m,
+                        "rhs_se": rhs_se, "dropped": dropped}
     return tables, verdicts, details
 
 
@@ -853,13 +862,10 @@ def _run_diagnostics(cfg: ExperimentConfig):
     # Hoelder diagnostic: || Z(s,0)/p_s(0) - 1 ||_2 ~ s^{1/4}
     if cfg.holder_s_values:
         svals = [float(s) for s in cfg.holder_s_values]
-        cols, _ = _ensemble(cfg, grid, reps, probes["holder_s_values"], _center_gbar)
-        norms = []
-        tables["holder"] = []
-        for s, g in zip(svals, cols):
-            nrm = math.sqrt(float(((g - 1.0) ** 2).mean()))
-            norms.append(nrm)
-            tables["holder"].append(("holder_l2", s, s, nrm, 0.0, g.size))
+        cols, _ = _ensemble(cfg, grid, reps, probes["holder_s_values"], _gbar)
+        norms = [math.sqrt(float(((g[:, 0] - 1.0) ** 2).mean())) for g in cols]
+        tables["holder"] = [("holder_l2", s, s, nrm, 0.0, g.size)
+                            for s, nrm, g in zip(svals, norms, cols)]
         slope = np.polyfit(np.log(svals), np.log(norms), 1)[0]
         verdicts.append(_verdict(
             f"Hoelder exponent in {BAND_HOLDER}",
@@ -882,11 +888,7 @@ def _run_diagnostics(cfg: ExperimentConfig):
             abs(mc - ref) <= tol,
             {"mc": mc, "mc_se": mc_se, "oracle": ref, "tolerance": tol}))
         extras["gbar_moment"] = {"mc": mc, "se": mc_se, "oracle": ref}
-    # >= 0 when every absolute-engine cell lies inside the read radius at
-    # its probe's earliest time
-    extras["underflow_margin"] = min(
-        read_radius(grid, min(times)) - _reach(grid, lo, hi, times)[0]
-        for _, lo, hi, times, mode in probes.values() if mode == "absolute")
+    extras.update(_regime_extras(cfg, grid))
     return tables, verdicts, extras
 
 

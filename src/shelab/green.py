@@ -25,14 +25,11 @@ Each sweep writes into two buffers allocated once per sweep: the heat step
 convolves into the spare one (convolve1d(output=)), the two swap, and the
 noise factors multiply in place.  The forward pass overwrites the `fields`
 it is given; the adjoint pass leaves its input row as it was, and its
-last convolution allocates its result.  The operations and their order are those of the allocating form, so every
-value keeps its bits.
+last convolution allocates its result.  The operations and their order are
+those of the allocating form, so every value keeps its bits.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import convolve1d
@@ -41,10 +38,8 @@ from . import noise
 from .kernels import heat_kernel
 from .noise import _FastNormals
 from .sim import GridSpec, heat_step_weights, noise_factors
-from .stats import mean_se
 
 __all__ = [
-    "ShiftIdentityCheck",
     "shift_identity_samples",
     "shift_window_cut",
 ]
@@ -52,29 +47,6 @@ __all__ = [
 # z-cells whose Gaussian weight falls below this fraction of the peak are
 # dropped from the shift-identity integral
 _WEIGHT_CUT = 1e-12
-
-
-@dataclass
-class ShiftIdentityCheck:
-    lhs: float
-    lhs_se: float
-    rhs: float
-    rhs_se: float
-    n_used: int
-    n_dropped: int
-
-    @classmethod
-    def from_samples(cls, lhs, rhs, dropped: int) -> "ShiftIdentityCheck":
-        """Means and SEs of the per-replicate (lhs, rhs) samples of
-        shift_identity_samples; `dropped` counts the replicates left out."""
-        lhs_m, lhs_se = mean_se(lhs)
-        rhs_m, rhs_se = mean_se(rhs)
-        return cls(lhs=float(lhs_m), lhs_se=float(lhs_se), rhs=float(rhs_m),
-                   rhs_se=float(rhs_se), n_used=len(lhs), n_dropped=int(dropped))
-
-    @property
-    def combined_se(self) -> float:
-        return math.hypot(self.lhs_se, self.rhs_se)
 
 
 def _forward(grid, fields, factors, k0, k1):

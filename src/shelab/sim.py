@@ -103,8 +103,9 @@ _READ_LOG = 600.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [-L, L] with cell_count = round(2L/dx) + 1 cells;
-    Z is zero outside it (the truncation rule keeps that edge out of reach)."""
+    """The cells j dx, |j| <= L/dx, of [-L, L], L a positive multiple of dx so
+    that one cell is x = 0; Z is zero outside them (the truncation rule keeps
+    that edge out of reach)."""
 
     dx: float
     half_width: float
@@ -113,8 +114,11 @@ class GridSpec:
     def __post_init__(self):
         if self.dx <= 0 or self.half_width <= 0 or self.dt <= 0:
             raise ValueError("dx, half_width, dt must be positive")
-        if self.cell_count < 3:
-            raise ValueError("grid must have at least 3 cells")
+        m = self.half_width / self.dx
+        if round(m) < 1 or abs(m - round(m)) > 1e-6:
+            raise ValueError(f"half_width={self.half_width:g} is not a positive multiple "
+                             f"of dx={self.dx:g}: the grid needs a cell at x = 0 "
+                             "and one on each side")
         if self.dt > self.dx ** 2 * (1 + 1e-12):
             raise ValueError("dt must satisfy dt <= dx^2 (noise scaling)")
 
@@ -127,9 +131,8 @@ class GridSpec:
 
     @property
     def origin_index(self) -> int:
-        """The first cell of least |x|: the exact zero cell for an odd
-        count, the cell at -dx/2 for an even one."""
-        return (self.cell_count - 1) // 2
+        """The x = 0 cell."""
+        return self.cell_count // 2
 
     def index_of(self, x: float) -> int:
         """Grid index of a lattice position; rejects off-lattice probes."""

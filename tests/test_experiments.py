@@ -113,6 +113,65 @@ def test_diagnostics_report_gives_the_underflow_margin(tmp_path):
     assert not any("underflow" in p.read_text() for p in tmp_path.glob("*.csv"))
 
 
+def test_covariance_report_gives_the_underflow_margin(tmp_path):
+    # the bulk window is the covariance run's one absolute-engine read: the
+    # read radius at its time minus |x| of its farthest cell, in report.json
+    # and no CSV; the default window [-w, w], w = 12 - 8 sqrt(0.5), ends at
+    # the cell x = 6.3
+    from shelab.sim import read_radius
+    cfg = _tiny_cov_cfg(out_dir=str(tmp_path))
+    grid = cfg.grid()
+    margin = run(cfg).extras["underflow_margin"]
+    assert margin == read_radius(grid, 0.5) - 3.0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["extras"]["underflow_margin"] == margin
+    assert not any("underflow" in p.read_text() for p in tmp_path.glob("*.csv"))
+    default = run(_tiny_cov_cfg(bulk_window=None, lags=[0.0, 1.0])).extras
+    assert default["underflow_margin"] == read_radius(grid, 0.5) - grid.positions()[
+        grid.window(-12 + 8 * 0.5 ** 0.5, 12 - 8 * 0.5 ** 0.5)].max()
+    assert default["underflow_margin"] == read_radius(grid, 0.5) - 6.3
+
+
+def test_validation_refuses_a_grid_without_a_cell_at_zero():
+    # half_width 12.05 is not a multiple of dx = 0.1: the grid's cells would
+    # sit at the half cells, with the Dirac at -dx/2
+    with pytest.raises(ConfigError) as err:
+        _tiny_cov_cfg(half_width=12.05).validate()
+    assert [v for v in err.value.violations if v.startswith("grid:")] == [
+        "grid: half_width=12.05 is not a positive multiple of dx=0.1: the grid "
+        "needs a cell at x = 0 and one on each side"]
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(kind="oracle_suite", dx=0.1, half_width=1.05).validate()
+    assert any(v.startswith("grid: half_width=1.05") for v in err.value.violations)
+
+
+def test_cli_exits_2_on_a_grid_without_a_cell_at_zero(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(dx=0.1, half_width=4.95, times=[0.05],
+                                        n_values=[3.0], replicates=50)))
+    rc = cli_main(["clt", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "grid: half_width=4.95 is not a positive multiple of dx=0.1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_fdd_reports_the_lattice_first_chaos(tmp_path):
+    # the lattice first chaos over 2 (t1 ^ t2) beside the fdd ratio, in
+    # report.json and no CSV; below the continuum value at this coarse grid
+    from shelab.oracles import lattice_first_chaos
+    cfg = _tiny_fdd_cfg(out_dir=str(tmp_path))
+    extras = run(cfg).extras
+    assert extras["lattice_first_chaos"] == (
+        lattice_first_chaos(cfg.grid(), [0.25, 0.5], 5.0)[0, 1] / 0.5)
+    assert 0.0 < extras["lattice_first_chaos"] < extras["continuum_first_chaos"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["extras"]["lattice_first_chaos"] == extras["lattice_first_chaos"]
+    assert not any("lattice" in p.read_text() for p in tmp_path.glob("*.csv"))
+    assert "lattice_first_chaos" not in run(_tiny_clt_cfg()).extras
+
+
 def test_validation_accepts_any_gbar_probe_time_and_levels():
     # the closed-form second-moment oracle has no t or volterra_levels domain
     _tiny_diag_cfg(gbar_probe={"t": 1.2, "volterra_levels": 8}).validate()
@@ -208,9 +267,11 @@ def test_clt_and_fdd_report_the_continuum_first_chaos(tmp_path):
     (_tiny_cov_cfg, dict(out_dir=5), "out_dir must be a string"),
     (_tiny_fdd_cfg, dict(replicates=2), "fdd needs replicates >= 3"),  # NaN jackknife SE
     (_tiny_cov_cfg, dict(times=[0.01], bulk_window=[-2.5, 2.5]), "noise cone"),
-    # 22 cells, none at x = 0: the engine would refuse the empty window
-    (_tiny_diag_cfg, dict(half_width=1.05, times=[0.01], first_moment_xmax=0.0,
-                          holder_s_values=[], gbar_probe={}), "first_moment_xmax"),
+    # 22 cells, none at x = 0: the grid is refused before any window rule
+    # (the id names the empty first_moment_xmax window it used to reach)
+    pytest.param(_tiny_diag_cfg, dict(half_width=1.05, times=[0.01], first_moment_xmax=0.0,
+                                      holder_s_values=[], gbar_probe={}), "half_width",
+                 id="_tiny_diag_cfg-over20-first_moment_xmax"),
     (_tiny_cov_cfg, dict(bulk_window=[0.01, 0.02], lags=[0.0]), "bulk_window"),  # no cell
     # one cell: CovarianceAccumulator.finalize would fail after the ensemble
     (_tiny_cov_cfg, dict(bulk_window=[-0.05, 0.05], lags=[0.0]), "bulk_window"),
@@ -585,8 +646,11 @@ _COV = dict(dx=0.1, half_width=12.0, times=[0.5], replicates=24)
 
 
 @pytest.mark.parametrize("command, body, needle", [
-    ("diagnostics", dict(dx=0.1, half_width=1.05, times=[0.01], replicates=8,
-                         first_moment_xmax=0.0), "first_moment_xmax"),
+    # a grid with no cell at x = 0 is refused first (the id names the empty
+    # first_moment_xmax window it used to reach)
+    pytest.param("diagnostics", dict(dx=0.1, half_width=1.05, times=[0.01], replicates=8,
+                                     first_moment_xmax=0.0), "half_width",
+                 id="diagnostics-body0-first_moment_xmax"),
     ("covariance", dict(_COV, bulk_window=[0.01, 0.02], lags=[0.0]), "bulk_window"),
     ("covariance", dict(_COV, bulk_window=[-0.05, 0.05], lags=[0.0]), "bulk_window"),
     ("covariance", dict(_COV, bulk_window=[-3.05, 3.05], lags=[0.0, 6.1]), "bulk_window"),
@@ -607,11 +671,12 @@ def test_cli_exits_2_on_a_probe_the_scheme_cannot_serve(tmp_path, capsys, comman
     assert not (tmp_path / "run").exists()
 
 
-# small edge configs of every kind: odd and even cell counts (half_width
-# 3.0 gives 61 cells with one at x = 0, 2.95 gives 60 at the half cells),
-# windows of 0, 1 and 2 cells, a lag at the cell span, reads at the noise
-# cone's edge, and shift probes either side of heat-kernel underflow; True
-# when validate() must refuse the config
+# small edge configs of every kind: grids with and without a cell at x = 0
+# (half_width 3.0 gives 61 cells with one at x = 0; 2.95 would give 60 at
+# the half cells, and GridSpec refuses it), windows of 0, 1 and 2 cells, a
+# lag at the cell span, reads at the noise cone's edge, and shift probes
+# either side of heat-kernel underflow; True when validate() must refuse
+# the config
 _EDGE_COV = dict(kind="covariance", dx=0.1, half_width=3.0, times=[0.05], replicates=4)
 _EDGE_CLT = dict(kind="clt", dx=0.1, half_width=5.0, times=[0.05], n_values=[3.0],
                  replicates=50, calibration_replicates=2)
@@ -631,20 +696,20 @@ _EDGE_CONFIGS = {
     "cov-even-1-cell": (dict(_EDGE_COV, half_width=2.95, bulk_window=[0.0, 0.1],
                              lags=[0.0]), True),
     "cov-even-lag-at-span": (dict(_EDGE_COV, half_width=2.95, bulk_window=[-0.5, 0.5],
-                                  lags=[0.0, 0.9]), False),
+                                  lags=[0.0, 0.9]), True),
     "clt-odd": (_EDGE_CLT, False),
-    "clt-even": (dict(_EDGE_CLT, half_width=4.95, n_values=[3.05]), False),
+    "clt-even": (dict(_EDGE_CLT, half_width=4.95, n_values=[3.05]), True),
     "clt-cone-edge": (dict(_EDGE_CLT, times=[0.015], n_values=[3.3]), False),
     "clt-past-cone": (dict(_EDGE_CLT, times=[0.015], n_values=[3.4]), True),
     "fdd-odd": (dict(_EDGE_CLT, kind="fdd", times=[0.025, 0.05], replicates=3), False),
     "fdd-even": (dict(_EDGE_CLT, kind="fdd", half_width=4.95, times=[0.025, 0.05],
-                      n_values=[3.05], replicates=3), False),
+                      n_values=[3.05], replicates=3), True),
     "fdd-early-past-cone": (dict(_EDGE_CLT, kind="fdd", times=[0.01, 0.05], replicates=3),
                             True),
     "diag-even-0-cells": (dict(_EDGE_DIAG, half_width=1.05), True),
     "diag-1-cell": (_EDGE_DIAG, False),
     "diag-even-2-cells-holder": (dict(_EDGE_DIAG, half_width=1.05, first_moment_xmax=0.05,
-                                      holder_s_values=[0.005, 0.01]), False),
+                                      holder_s_values=[0.005, 0.01]), True),
     "diag-gbar-cone-edge": (dict(_EDGE_DIAG, half_width=3.0,
                                  gbar_probe={"t": 0.01, "x": 2.2}), False),
     "diag-gbar-past-cone": (dict(_EDGE_DIAG, half_width=3.0,

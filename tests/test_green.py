@@ -1,11 +1,11 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from shelab.experiments import _gbar
-from shelab.green import (ShiftIdentityCheck, _adjoint, _forward,
-                          shift_identity_samples)
+from shelab.green import _adjoint, _forward, shift_identity_samples
 from shelab.kernels import heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise
 from shelab.sim import GridSpec, default_grid, evolve, heat_step, noise_factors
@@ -161,10 +161,11 @@ def test_shift_samples_pinned():
 
 def test_shift_identity_check_small():
     grid = GridSpec(dx=0.1, half_width=5.0, dt=0.005)
-    chk = ShiftIdentityCheck.from_samples(*shift_identity_samples(
-        grid, range(250), 0.4, 0.2, 1.0, 0.5, master_seed=17))
-    assert chk.n_used == 250
-    assert abs(chk.lhs - chk.rhs) <= 3 * chk.combined_se + 0.05 * chk.lhs
+    lhs, rhs, dropped = shift_identity_samples(grid, range(250), 0.4, 0.2, 1.0, 0.5,
+                                               master_seed=17)
+    assert lhs.size == 250
+    (lhs_m, lhs_se), (rhs_m, rhs_se) = mean_se(lhs), mean_se(rhs)
+    assert abs(lhs_m - rhs_m) <= 3 * math.hypot(lhs_se, rhs_se) + 0.05 * lhs_m
 
 
 def test_shift_identity_degenerates_to_one_at_small_s():

@@ -5,11 +5,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc, exp1
 
-from shelab.oracles import (_cos_gauss_primitive, _twotime_inner,
-                            _twotime_inner_numeric, continuum_first_chaos,
+from shelab.oracles import (_cos_gauss_primitive, _first_chaos_weights,
+                            _twotime_inner, _twotime_inner_numeric,
+                            continuum_first_chaos, lattice_first_chaos,
                             lemma_2, lemma_s0, lemma_twotime, lemma_y,
                             limiting_constant, reduced_cov_integral,
                             second_moment_volterra)
+from shelab.sim import default_grid
 
 
 def test_limiting_constant_is_two_for_all_t():
@@ -257,3 +259,47 @@ def test_continuum_first_chaos_preconditions():
     for args in ((0.0, 1.0, 50.0), (1.0, -1.0, 50.0), (1.0, 1.0, 1.0)):
         with pytest.raises(ValueError):
             continuum_first_chaos(*args)
+
+
+@pytest.mark.parametrize("dx, half_width, N, ratio", [
+    (0.1, 58.0, 50.0, 0.6537),
+    (0.1, 208.0, 200.0, 0.5367),
+    (0.05, 58.0, 50.0, 0.7355),
+])
+def test_lattice_first_chaos_ratio_to_two_t(dx, half_width, N, ratio):
+    # Var/2t at t = 1: below the continuum's 0.827 (N = 50) and 0.867
+    # (N = 200), with a gap first order in dx, since the lattice drops the
+    # noise at source times below dt
+    cov = lattice_first_chaos(default_grid(dx, half_width), [1.0], N)
+    assert cov.shape == (1, 1)
+    assert cov[0, 0] / 2.0 == pytest.approx(ratio, abs=5e-5)
+
+
+def test_lattice_first_chaos_two_times_on_the_fdd_grid():
+    # the fdd acceptance grid: Cov/2(t_i ^ t_j) at times (1, 2), N = 100
+    grid = default_grid(0.1, 112.0)
+    cov = lattice_first_chaos(grid, [1.0, 2.0], 100.0)
+    ratio = cov / (2.0 * np.minimum.outer([1.0, 2.0], [1.0, 2.0]))
+    assert ratio == pytest.approx(np.array([[0.5966, 0.5963], [0.5963, 0.6283]]),
+                                  abs=5e-5)
+    assert cov[0, 1] == cov[1, 0]
+    assert lattice_first_chaos(grid, [2.0, 1.0], 100.0)[0, 1] == cov[0, 1]
+
+
+def test_lattice_first_chaos_weights_keep_the_bridge_identity():
+    # C is symmetric, so sum_j a_k(j) = sum_j q_j = N at every step k
+    grid = default_grid(0.1, 112.0)
+    for kt, a in zip((100, 200), _first_chaos_weights(grid, [100, 200], 100.0)):
+        assert a.shape == (kt, grid.cell_count)
+        assert np.all(a >= 0.0)
+        assert np.abs(a.sum(axis=1) - 100.0).max() <= 1e-10
+
+
+def test_lattice_first_chaos_preconditions():
+    grid = default_grid(0.1, 12.0)
+    with pytest.raises(ValueError):
+        lattice_first_chaos(grid, [1.0], 1.0)
+    with pytest.raises(ValueError):
+        lattice_first_chaos(grid, [0.0, 1.0], 5.0)
+    with pytest.raises(ValueError, match="noise cone"):
+        lattice_first_chaos(grid, [0.01], 5.0)       # 2 steps reach 2.2

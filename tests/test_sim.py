@@ -19,19 +19,47 @@ def _dirac(g):
     return Z
 
 
+# grids whose half_width is not a multiple of dx: they would have no cell
+# at x = 0, and GridSpec refuses them
+_NO_ZERO_CELL = {(0.1, 0.15), (0.1, 5.05), (0.03, 2.0), (0.07, 3.3)}
+
+
 @pytest.mark.parametrize("dx, half_width", [
     (0.1, 1.0), (0.1, 0.15), (0.05, 7.0), (0.1, 5.05), (0.03, 2.0), (0.07, 3.3),
 ])
 def test_origin_index_is_the_cell_nearest_zero(dx, half_width):
-    # the first cell of least |x|: the zero cell for an odd count, the one
-    # at -dx/2 for an even count
+    if (dx, half_width) in _NO_ZERO_CELL:
+        with pytest.raises(ValueError, match="not a positive multiple of dx"):
+            GridSpec(dx=dx, half_width=half_width, dt=dx * dx / 2)
+        return
     g = GridSpec(dx=dx, half_width=half_width, dt=dx * dx / 2)
     x = g.positions()
     assert g.origin_index == int(np.argmin(np.abs(x)))
-    if g.cell_count % 2:
-        assert x[g.origin_index] == 0.0
-    else:
-        assert x[g.origin_index] == pytest.approx(-dx / 2)
+    assert x[g.origin_index] == 0.0
+
+
+@pytest.mark.parametrize("dx, half_width", [
+    (0.1, 4.95), (0.1, 1.05), (0.1, 5.05), (0.03, 2.0), (0.07, 3.3),
+    (0.1, 1e-8),    # within 1e-6 of the zero multiple: one cell, at x = 0
+])
+def test_gridspec_refuses_a_half_width_off_the_dx_lattice(dx, half_width):
+    with pytest.raises(ValueError) as err:
+        GridSpec(dx=dx, half_width=half_width, dt=dx * dx / 2)
+    assert f"half_width={half_width:g}" in str(err.value)
+    assert f"dx={dx:g}" in str(err.value)
+
+
+@pytest.mark.parametrize("dx, half_width", [
+    (0.1, 1.0), (0.05, 7.0), (0.015, 3.0), (0.03, 2.01), (0.07, 3.5), (0.1, 208.0),
+    (0.1, 0.1), (0.1, 3.00000001),  # within the 1e-6 slack of 30 cells
+])
+def test_allowed_grids_are_symmetric_about_the_zero_cell(dx, half_width):
+    g = GridSpec(dx=dx, half_width=half_width, dt=dx * dx / 2)
+    x = g.positions()
+    assert g.cell_count % 2 == 1
+    assert x[g.origin_index] == 0.0
+    assert np.array_equal(x, -x[::-1])
+    assert g.index_of(0.0) == g.origin_index
 
 
 def test_gridspec_basics():
