@@ -1,8 +1,10 @@
 """Experiment orchestration: configs, parallel ensemble drivers, reports.
 
-_probes is the one statement of a run's engine reads: the drivers run its
-probes, and validate() checks the cells each probe reads against the
-scheme's rules (enough cells, the noise cone, the read radius, truncation).
+_probes is the one statement of a run's engine reads, each probe with its
+window, times, engine mode and transform.  run() makes one engine pass per
+probe and hands each driver the rows to reduce; validate() checks the cells
+each probe reads against the scheme's rules (enough cells, the noise cone,
+the read radius, truncation), and _regime_extras reports on them.
 
 Replicates are the unit of parallel work.  Worker processes receive fixed
 chunks of replicate ids (the chunking depends only on the replicate count,
@@ -32,8 +34,9 @@ from scipy import stats as sps
 from . import __version__ as _VERSION
 from .kernels import log_heat_kernel
 from .green import shift_identity_samples, shift_window_cut
-from .oracles import (continuum_first_chaos, lattice_first_chaos, lemma_2,
-                      lemma_s0, lemma_twotime, lemma_y, limiting_constant,
+from .oracles import (continuum_first_chaos, lattice_first_chaos,
+                      lattice_first_chaos_covariance, lemma_2, lemma_s0,
+                      lemma_twotime, lemma_y, limiting_constant,
                       reduced_cov_integral, second_moment_volterra)
 from .sim import (GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights,
                   log_residual, read_radius, tilted_variance_ratio)
@@ -172,6 +175,7 @@ class ExperimentConfig:
             bad += bulk_bad + fit_bad
             reads_ok &= not bulk_bad
             cells = [] if bulk_bad else grid.window(*_probes(self, grid)[0][1:3])
+            bad += _same_cell_violations(grid, "lags", self.lags)
             for lag in self.lags:
                 if lag < 0 or abs(round(lag / grid.dx) * grid.dx - lag) > 1e-9 * max(1, lag):
                     bad.append(f"lag {lag} not on the dx lattice")
@@ -193,6 +197,7 @@ class ExperimentConfig:
             if any(N < 3 for N in self.n_values):
                 bad.append("every N must be >= 3 (log N > 1)")
             bad += _lattice_violations(grid, "n_values", self.n_values)
+            bad += _same_cell_violations(grid, "n_values", self.n_values)
             if self.kind == "fdd" and len(self.times) != 2:
                 bad.append("fdd needs exactly two times")
             if self.kind == "fdd" and len(self.n_values) > 1:
@@ -339,6 +344,16 @@ def _lattice_violations(grid, name, xs):
     return bad
 
 
+def _same_cell_violations(grid, name, xs):
+    """One violation per dx cell that two values of xs fall on: the reduction
+    would read that cell twice (a lag fit counts it twice, and two equal N
+    make the clt trend verdict compare a value with itself)."""
+    cells = [round(x / grid.dx) for x in xs]
+    return [f"{name}: {', '.join(f'{x:g}' for x, c in zip(xs, cells) if c == cell)} "
+            "fall on the same dx cell"
+            for cell in sorted(set(cells)) if cells.count(cell) > 1]
+
+
 def _truncation_violations(grid, name, x, t):
     """One violation unless the truncation rule holds out to |x| by time t."""
     if grid.covers(t, x):
@@ -355,29 +370,31 @@ def _reach(grid, lo, hi, times):
 
 
 def _probes(cfg, grid):
-    """One (name, lo, hi, times, mode) per engine pass, in the driver's order:
-    the cells lo <= x <= hi at each time, from the `mode` engine; name is
-    the field that sets the window."""
+    """One (name, lo, hi, times, mode, transform) per engine pass, in the
+    driver's order: transform(Z or log Z, t, x) of the cells lo <= x <= hi at
+    each time, from the `mode` engine; name is the field that sets the window."""
     t = cfg.times[-1]
     if cfg.kind == "covariance":
         # the default bulk window keeps the truncation rule's margin
         w = grid.half_width - 8.0 * math.sqrt(max(cfg.times))
         lo, hi = cfg.bulk_window or (-w, w)
-        return [("bulk_window", float(lo), float(hi), [t], "absolute")]
+        return [("bulk_window", float(lo), float(hi), [t], "absolute", log_residual)]
     if cfg.kind == "clt":
-        return [("n_values", 0.0, float(max(cfg.n_values)), [t], "relative")]
+        return [("n_values", 0.0, float(max(cfg.n_values)), [t], "relative",
+                 _relative_residual)]
     if cfg.kind == "fdd":
-        return [("n_values", 0.0, float(cfg.n_values[0]), cfg.times, "relative")]
+        return [("n_values", 0.0, float(cfg.n_values[0]), cfg.times, "relative",
+                 _relative_residual)]
     if cfg.kind != "diagnostics":
         return []
     xmax = cfg.first_moment_xmax
-    probes = [("first_moment_xmax", -xmax, xmax, [t], "absolute")]
+    probes = [("first_moment_xmax", -xmax, xmax, [t], "absolute", _gbar)]
     if cfg.holder_s_values:
-        probes.append(("holder_s_values", 0.0, 0.0, cfg.holder_s_values, "absolute"))
+        probes.append(("holder_s_values", 0.0, 0.0, cfg.holder_s_values, "absolute", _gbar))
     if cfg.gbar_probe:
         gbar = {**_GBAR_PROBE_DEFAULTS, **cfg.gbar_probe}
         px = float(gbar["x"])
-        probes.append(("gbar_probe.x", px, px, [float(gbar["t"])], "absolute"))
+        probes.append(("gbar_probe.x", px, px, [float(gbar["t"])], "absolute", _gbar))
     return probes
 
 
@@ -390,7 +407,7 @@ def _probe_violations(cfg, grid):
     need = 1 if cfg.kind == "diagnostics" else 2
     half = len(heat_step_weights(grid.dx, grid.dt)) // 2
     bad = []
-    for name, lo, hi, times, mode in _probes(cfg, grid):
+    for name, lo, hi, times, mode, _ in _probes(cfg, grid):
         cells = grid.window(lo, hi)
         if cells.size < need:
             bad.append(f"{name}: the window [{lo:g}, {hi:g}] holds {cells.size} of "
@@ -413,7 +430,7 @@ def _regime_extras(cfg, grid):
     at the earliest time minus |x| of the farthest cell (>= 0 when every read
     keeps its bits), and tilted_variance_ratio at the relative probe's speed."""
     extras, margins = {}, []
-    for _, lo, hi, times, mode in _probes(cfg, grid):
+    for _, lo, hi, times, mode, _ in _probes(cfg, grid):
         x, speed = _reach(grid, lo, hi, times)
         if mode == "absolute":
             margins.append(read_radius(grid, min(times)) - x)
@@ -563,11 +580,11 @@ def _ensemble_chunk(grid, ids, steps, mode, window, transform, seed):
     return out
 
 
-def _ensemble(cfg, grid, ids, probe, transform):
+def _ensemble(cfg, grid, ids, probe):
     """(row blocks, window positions) of one probe of _probes: per probe
     time, the rows of _ensemble_chunk stacked in the order of ids; the
     positions of the cells with lo <= x <= hi."""
-    _, lo, hi, times, mode = probe
+    _, lo, hi, times, mode, transform = probe
     steps = [grid.step_of(t) for t in times]
     window = grid.window(lo, hi)
     results = _chunk_map(cfg, grid, _ensemble_chunk, ids, steps, mode, window, transform)
@@ -594,12 +611,8 @@ def _verdict(name, passed, detail):
     return {"criterion": name, "passed": bool(passed), "detail": detail}
 
 
-def _run_covariance(cfg: ExperimentConfig):
-    grid = cfg.grid()
-    (probe,) = _probes(cfg, grid)
-    _, lo, hi, (t,), _ = probe
-    k = grid.step_of(t)
-    (rows,), wpos = _ensemble(cfg, grid, range(cfg.replicates), probe, log_residual)
+def _run_covariance(cfg: ExperimentConfig, grid, reads):
+    (_, lo, hi, (t,), _, _), (rows,), wpos = reads["bulk_window"]
     acc = CovarianceAccumulator(wpos)
     for rid, row in enumerate(rows):
         acc.add(rid, row)
@@ -650,7 +663,7 @@ def _run_covariance(cfg: ExperimentConfig):
     # translation-invariant object under test.
     qs = np.linspace(lo, hi, 5)
     pairs = [(qs[i], qs[j]) for i, j in _STATIONARITY_PAIRS]
-    lattice_profile = (discrete_kernel_log(grid, k)[grid.window(lo, hi)]
+    lattice_profile = (discrete_kernel_log(grid, grid.step_of(t))[-1][grid.window(lo, hi)]
                        - math.log(grid.dx) - log_heat_kernel(t, wpos))
     vals = rows - lattice_profile[None, :]
     ok = np.isfinite(rows)
@@ -672,21 +685,25 @@ def _run_covariance(cfg: ExperimentConfig):
         min_p >= alpha, {"min_p": min_p, "threshold": alpha}))
     extras = {"fit": None if fitres is None else asdict(fitres),
               "estimate": {"lags": est.lags.tolist(), "cov": est.cov.tolist(),
-                           "se": est.se.tolist(), "n_effective": est.n_effective.tolist()},
-              **_regime_extras(cfg, grid)}
+                           "se": est.se.tolist(), "n_effective": est.n_effective.tolist()}}
+    # reported, not verdicts: the lattice and the continuum first chaos per lag
+    lags = [float(lag) for lag in est.lags]
+    c_lat = lattice_first_chaos_covariance(grid, t, lags)
+    extras["lattice_first_chaos"] = {str(lag): float(c) for lag, c in zip(lags, c_lat)}
+    extras["continuum_first_chaos"] = {str(lag): reduced_cov_integral(t, lag).value
+                                       for lag in lags}
     return tables, verdicts, extras
 
 
-def _run_clt(cfg: ExperimentConfig):
-    grid = cfg.grid()
+def _run_clt(cfg: ExperimentConfig, grid, reads):
     n_values = [float(N) for N in cfg.n_values]
-    (probe,) = _probes(cfg, grid)
-    _, _, _, (t,), _ = probe
-    # calibration pass: grand mean of the residual over the bulk
+    probe, (rows,), wpos = reads["n_values"]
+    (t,) = probe[3]
+    # calibration pass: grand mean of the residual over the bulk, on the
+    # replicate ids after the estimation set
     cal_ids = range(cfg.replicates, cfg.replicates + cfg.calibration_replicates)
-    (cal_rows,), _ = _ensemble(cfg, grid, cal_ids, probe, _relative_residual)
+    (cal_rows,), _ = _ensemble(cfg, grid, cal_ids, probe)
     m_hat = float(np.mean([r.mean() for r in cal_rows]))
-    (rows,), wpos = _ensemble(cfg, grid, range(cfg.replicates), probe, _relative_residual)
     tables = {"clt": []}
     verdicts = []
     ratios = {}
@@ -699,23 +716,20 @@ def _run_clt(cfg: ExperimentConfig):
         se = ratio * math.sqrt(2.0 / (xs.size - 1))
         ratios[N] = (ratio, se, xs)
         tables["clt"].append(("var_ratio", t, N, ratio, se, xs.size))
-    n_sorted = sorted(n_values)
-    first = n_sorted[0]
+    first, last = min(n_values), max(n_values)
     r0, s0, xs0 = ratios[first]
     verdicts.append(_verdict(
         f"Var[X_N]/2t in {BAND_VAR_RATIO} at N={first:g}",
         BAND_VAR_RATIO[0] <= r0 <= BAND_VAR_RATIO[1],
         {"ratio": r0, "se": s0}))
-    if len(n_sorted) > 1:
-        last = n_sorted[-1]
-        r1, s1, _ = ratios[last]
+    if len(n_values) > 1:
+        r1, _, _ = ratios[last]
         verdicts.append(_verdict(
             f"|Var ratio - 1| shrinks from N={first:g} to N={last:g}",
             abs(r1 - 1.0) < abs(r0 - 1.0),
             {"ratio_first": r0, "ratio_last": r1}))
-    rep = ks_normality(ratios[n_sorted[0]][2], significance=KS_SIGNIFICANCE)
-    tables["clt"].append(("ks_normality_p", t, n_sorted[0], rep.p_value,
-                          0.0, rep.sample_size))
+    rep = ks_normality(xs0, significance=KS_SIGNIFICANCE)
+    tables["clt"].append(("ks_normality_p", t, first, rep.p_value, 0.0, rep.sample_size))
     verdicts.append(_verdict(
         f"X_N Gaussianity: KS does not reject at {KS_SIGNIFICANCE}",
         not rep.reject, {"p_value": rep.p_value, "statistic": rep.statistic}))
@@ -725,16 +739,12 @@ def _run_clt(cfg: ExperimentConfig):
                          for N in n_values},
               "continuum_first_chaos": {
                   str(N): continuum_first_chaos(t, t, N).value / (2.0 * t)
-                  for N in n_values},
-              **_regime_extras(cfg, grid)}
+                  for N in n_values}}
     return tables, verdicts, extras
 
 
-def _run_fdd(cfg: ExperimentConfig):
-    grid = cfg.grid()
-    (probe,) = _probes(cfg, grid)
-    _, _, N, _, _ = probe
-    rows, wpos = _ensemble(cfg, grid, range(cfg.replicates), probe, _relative_residual)
+def _run_fdd(cfg: ExperimentConfig, grid, reads):
+    (_, _, N, _, _, _), rows, wpos = reads["n_values"]
     a, b = (spatial_averages(r, wpos, grid.dx, N) for r in rows)
     t1, t2 = (float(t) for t in cfg.times)
     cov, se = fdd_covariance(a, b)
@@ -749,13 +759,11 @@ def _run_fdd(cfg: ExperimentConfig):
     # reported, not verdicts: the continuum and the lattice first chaos
     extras = {"cov": cov, "se": se, "ratio": ratio,
               "continuum_first_chaos": continuum_first_chaos(t1, t2, N).value / target,
-              "lattice_first_chaos": lattice_first_chaos(grid, (t1, t2), N)[0, 1] / target,
-              **_regime_extras(cfg, grid)}
+              "lattice_first_chaos": lattice_first_chaos(grid, (t1, t2), N)[0, 1] / target}
     return tables, verdicts, extras
 
 
-def _run_shift_check(cfg: ExperimentConfig):
-    grid = cfg.grid()
+def _run_shift_check(cfg: ExperimentConfig, grid, reads):
     t = cfg.times[-1]
     s = float(cfg.shift_s)
     tables = {"shift": []}
@@ -781,7 +789,7 @@ def _run_shift_check(cfg: ExperimentConfig):
     return tables, verdicts, details
 
 
-def _run_oracle_suite(cfg: ExperimentConfig):
+def _run_oracle_suite(cfg: ExperimentConfig, grid, reads):
     tables = {"oracle": []}
     verdicts = []
     for t in (0.1, 1.0, 10.0):
@@ -835,16 +843,12 @@ def _run_oracle_suite(cfg: ExperimentConfig):
     return tables, verdicts, {}
 
 
-def _run_diagnostics(cfg: ExperimentConfig):
+def _run_diagnostics(cfg: ExperimentConfig, grid, reads):
     tables = {}
     verdicts = []
     extras = {}
-    grid = cfg.grid()
-    t = cfg.times[-1]
-    probes = {probe[0]: probe for probe in _probes(cfg, grid)}
     # first-moment identity: E[Z(t,x)]/p_t(x) in 1 +- (3 SE + 2%)
-    reps = range(cfg.replicates)
-    (rows,), wsel = _ensemble(cfg, grid, reps, probes["first_moment_xmax"], _gbar)
+    (_, _, _, (t,), _, _), (rows,), wsel = reads["first_moment_xmax"]
     mean, se = mean_se(rows)
     dev = np.abs(mean - 1.0)
     tol = 3.0 * se + 0.02
@@ -860,9 +864,9 @@ def _run_diagnostics(cfg: ExperimentConfig):
     extras["first_moment_worst"] = {"x": float(wsel[worst]),
                                     "deviation": float(dev[worst])}
     # Hoelder diagnostic: || Z(s,0)/p_s(0) - 1 ||_2 ~ s^{1/4}
-    if cfg.holder_s_values:
+    if "holder_s_values" in reads:
         svals = [float(s) for s in cfg.holder_s_values]
-        cols, _ = _ensemble(cfg, grid, reps, probes["holder_s_values"], _gbar)
+        _, cols, _ = reads["holder_s_values"]
         norms = [math.sqrt(float(((g[:, 0] - 1.0) ** 2).mean())) for g in cols]
         tables["holder"] = [("holder_l2", s, s, nrm, 0.0, g.size)
                             for s, nrm, g in zip(svals, norms, cols)]
@@ -873,9 +877,8 @@ def _run_diagnostics(cfg: ExperimentConfig):
             {"exponent": float(slope), "norms": norms}))
         extras["holder_exponent"] = float(slope)
     # second-moment oracle equivalence at the gbar probe
-    if cfg.gbar_probe:
-        _, px, _, (pt,), _ = probes["gbar_probe.x"]
-        (g,), _ = _ensemble(cfg, grid, reps, probes["gbar_probe.x"], _gbar)
+    if "gbar_probe.x" in reads:
+        (_, px, _, (pt,), _, _), (g,), _ = reads["gbar_probe.x"]
         mc, mc_se = mean_se(g[:, 0] ** 2)
         ref = second_moment_volterra(pt, px, px)
         tables["gbar_moment"] = [
@@ -888,7 +891,6 @@ def _run_diagnostics(cfg: ExperimentConfig):
             abs(mc - ref) <= tol,
             {"mc": mc, "mc_se": mc_se, "oracle": ref, "tolerance": tol}))
         extras["gbar_moment"] = {"mc": mc, "se": mc_se, "oracle": ref}
-    extras.update(_regime_extras(cfg, grid))
     return tables, verdicts, extras
 
 
@@ -916,7 +918,13 @@ def run(config: ExperimentConfig) -> RunReport:
             raise ConfigError([f"out_dir {config.out_dir}: cannot create the run "
                                f"directory: {e.strerror}"]) from None
     try:
-        tables, verdicts, extras = _DRIVERS[config.kind](config)
+        # every engine read of the run, one pass per probe over the
+        # replicates; the drivers reduce the rows
+        grid = config.grid()
+        reads = {probe[0]: (probe, *_ensemble(config, grid, range(config.replicates), probe))
+                 for probe in _probes(config, grid)}
+        tables, verdicts, extras = _DRIVERS[config.kind](config, grid, reads)
+        extras.update(_regime_extras(config, grid))
         wall = time.perf_counter() - t0
         nreps = config.replicates if config.kind != "oracle_suite" else 0
         report = RunReport(

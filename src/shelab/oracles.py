@@ -13,8 +13,9 @@ collapsed with the exact primitives
 so every driver is a benign 1-2 dimensional adaptive quadrature.  The
 second-moment oracle needs no quadrature: its Volterra system has the
 closed-form delta-Bose solution.  Nothing here consumes simulator output;
-lattice_first_chaos, the one lattice oracle, takes the engine's heat step
-(its weights and log-kernel step) and no noise.
+the two lattice oracles, lattice_first_chaos and
+lattice_first_chaos_covariance, take the engine's heat step (its weights
+and log-kernel step, through sim.discrete_kernel_log) and no noise.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from scipy.integrate import quad
 from scipy.special import erf, erfcx, exp1, ndtr
 
 from .kernels import fourier_indicator, heat_kernel
-from .sim import _LOG_FLOOR, GridSpec, _BatchEngine
+from .sim import _LOG_FLOOR, GridSpec, _BatchEngine, discrete_kernel_log
 
 __all__ = [
     "QuadratureResult",
@@ -39,6 +40,7 @@ __all__ = [
     "lemma_y",
     "continuum_first_chaos",
     "lattice_first_chaos",
+    "lattice_first_chaos_covariance",
     "second_moment_volterra",
 ]
 
@@ -271,21 +273,19 @@ def _first_chaos_weights(grid: GridSpec, steps, N: float):
     step k in the first chaos of X_N after kt steps, as one (kt, cell_count)
     array per step count kt of `steps`.
 
-    K_k is the k-step discrete kernel (cell mass) from the x = 0 cell, C the
-    heat step and u_0 = q / K_kt, with q the trapezoid weights of the cells
-    0 <= x <= N that stats.spatial_averages uses (they sum to N).  K and u
-    are advanced in log space with the relative engine's log-kernel step,
-    since K_kt underflows far from the origin where u_0 does not.  C is
-    symmetric, so sum_j a_k(j) = sum_j q_j = N at every k.
+    K_k is the k-step discrete kernel (cell mass) from the x = 0 cell, read
+    from sim.discrete_kernel_log, C the heat step and u_0 = q / K_kt, with q
+    the trapezoid weights of the cells 0 <= x <= N that
+    stats.spatial_averages uses (they sum to N).  u is advanced in log space
+    with the relative engine's log-kernel step, since K_kt underflows far
+    from the origin where u_0 does not.  C is symmetric, so
+    sum_j a_k(j) = sum_j q_j = N at every k.
     """
     eng = _BatchEngine(grid, master_seed=0, mode="relative")
     cells = grid.window(0.0, N)
     logq = np.full(cells.size, math.log(grid.dx))
     logq[[0, -1]] = math.log(grid.dx / 2)
-    logK = [np.full(grid.cell_count, _LOG_FLOOR)]
-    logK[0][grid.origin_index] = 0.0
-    for _ in range(max(steps)):
-        logK.append(eng._advance_logK(logK[-1])[0])
+    logK = discrete_kernel_log(grid, max(steps))
     weights = []
     for kt in steps:
         if np.any(logK[kt][cells] <= _LOG_FLOOR / 2):
@@ -321,6 +321,43 @@ def lattice_first_chaos(grid: GridSpec, times, N: float) -> np.ndarray:
     cov = np.array([[np.vdot(ai[:min(ki, kj)], aj[:min(ki, kj)])
                      for aj, kj in zip(a, steps)] for ai, ki in zip(a, steps)])
     return cov * (grid.dt / grid.dx) / (N * math.log(N))
+
+
+def lattice_first_chaos_covariance(grid: GridSpec, t: float, xs) -> np.ndarray:
+    """The first chaos of Cov[h(t, x), h(t, 0)] on the lattice of `grid`, at
+    each lattice position x of xs:
+
+    (dt/dx) sum_{k < kt} sum_j B_k(x, j) B_k(0, j),
+    B_k(x, j) = K_{k+1}(y_j) K_{kt-k-1}(x - y_j) / K_kt(x),
+
+    kt the step count of t and K_k the k-step discrete kernel of
+    sim.discrete_kernel_log, worked in log space.  B_k(x, .) is the lattice
+    bridge from 0 to x at step k + 1; it is 0 where x - y_j leaves the grid.
+    The continuum limit is reduced_cov_integral(t, x); at dx = 0.1, t = 1
+    the ratio falls from 0.899 at x = 3 to 0.254 at x = 30, because the
+    lattice resolves only noise at source times s >~ dt, and the t/x tail
+    comes from s ~ 4 t^2 / x^2.
+    """
+    kt = grid.step_of(t)
+    if kt <= 0:
+        raise ValueError("t must be positive")
+    logK = discrete_kernel_log(grid, kt)
+    n, i0 = grid.cell_count, grid.origin_index
+    # row k: log K_{k+1}(y_j) and log K_{kt-k-1} by grid index
+    head, tail = logK[1:], logK[kt - 1::-1]
+
+    def bridge(x):
+        i = grid.index_of(float(x))
+        if logK[kt, i] <= _LOG_FLOOR / 2:
+            raise ValueError(f"x={x:g} lies outside the noise cone after {kt} steps")
+        src = i0 + i - np.arange(n)          # the index of x - y_j
+        on = (src >= 0) & (src < n)
+        logb = np.full((kt, n), _LOG_FLOOR)
+        logb[:, on] = head[:, on] + tail[:, src[on]] - logK[kt, i]
+        return np.exp(logb)
+
+    b0 = bridge(0.0)
+    return np.array([np.vdot(bridge(x), b0) for x in xs]) * (grid.dt / grid.dx)
 
 
 # ---------------------------------------------------------------------------

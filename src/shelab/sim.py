@@ -112,6 +112,9 @@ class GridSpec:
     dt: float
 
     def __post_init__(self):
+        for name in ("dx", "half_width", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} must be finite")
         if self.dx <= 0 or self.half_width <= 0 or self.dt <= 0:
             raise ValueError("dx, half_width, dt must be positive")
         m = self.half_width / self.dx
@@ -321,18 +324,20 @@ def tilted_variance_ratio(grid: GridSpec, speed: float) -> float:
 
 
 def discrete_kernel_log(grid: GridSpec, steps: int) -> np.ndarray:
-    """log of the steps-fold discrete heat kernel (cell-mass units).
+    """The rows log K_0 ... log K_steps of the k-fold discrete heat kernel
+    (cell-mass units), a (steps + 1, cell_count) table.
 
-    This is the exact noise-free evolution of a unit grid delta under the
-    step weights, tracked in log space; log(K/dx) - log p_t is the
-    deterministic lattice correction to the mean height profile.  Cells the
-    kernel has not reached carry a large negative sentinel.
+    Row k is the exact noise-free evolution of a unit grid delta at the x = 0
+    cell under k steps of the step weights, tracked in log space;
+    log(K_k/dx) - log p_t is the deterministic lattice correction to the
+    mean height profile at t = k dt.  Cells the kernel has not reached carry
+    a large negative sentinel.
     """
     eng = _BatchEngine(grid, master_seed=0, mode="relative")
-    logK = np.full(grid.cell_count, _LOG_FLOOR)
-    logK[grid.origin_index] = 0.0
-    for _ in range(steps):
-        logK, _ = eng._advance_logK(logK)
+    logK = np.full((steps + 1, grid.cell_count), _LOG_FLOOR)
+    logK[0, grid.origin_index] = 0.0
+    for k in range(steps):
+        logK[k + 1] = eng._advance_logK(logK[k])[0]
     return logK
 
 

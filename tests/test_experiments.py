@@ -172,6 +172,39 @@ def test_fdd_reports_the_lattice_first_chaos(tmp_path):
     assert "lattice_first_chaos" not in run(_tiny_clt_cfg()).extras
 
 
+def test_covariance_reports_the_first_chaos_per_lag(tmp_path):
+    # the lattice and the continuum first chaos of Cov[h(t, x), h(t, 0)] at
+    # each lag, in report.json and no CSV; the lattice one lies below
+    from shelab.oracles import lattice_first_chaos_covariance, reduced_cov_integral
+    cfg = _tiny_cov_cfg(out_dir=str(tmp_path))
+    extras = run(cfg).extras
+    lags = [0.0, 1.0, 2.0, 3.0]
+    assert extras["lattice_first_chaos"] == dict(zip(
+        map(str, lags), lattice_first_chaos_covariance(cfg.grid(), 0.5, lags).tolist()))
+    assert extras["continuum_first_chaos"] == {
+        str(lag): reduced_cov_integral(0.5, lag).value for lag in lags}
+    for lag in map(str, lags):
+        assert 0.0 < extras["lattice_first_chaos"][lag] < extras["continuum_first_chaos"][lag]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["extras"]["lattice_first_chaos"] == extras["lattice_first_chaos"]
+    assert not any("chaos" in p.read_text() for p in tmp_path.glob("*.csv"))
+
+
+def test_diagnostics_driver_reduces_synthetic_rows():
+    # a driver is a reduction over the rows run() hands it: Z/p = 1 on every
+    # cell passes the first-moment verdict with zero spread
+    import shelab.experiments as ex
+    cfg = _tiny_diag_cfg(holder_s_values=[], gbar_probe={})
+    grid = cfg.grid()
+    (probe,) = ex._probes(cfg, grid)
+    wpos = grid.positions()[grid.window(-1.0, 1.0)]
+    reads = {"first_moment_xmax": (probe, [np.ones((8, wpos.size))], wpos)}
+    tables, verdicts, extras = ex._DRIVERS["diagnostics"](cfg, grid, reads)
+    assert tables["first_moment"] == [("mean_gbar", 0.5, x, 1.0, 0.0, 8) for x in wpos]
+    assert [v["passed"] for v in verdicts] == [True]
+    assert extras["first_moment_worst"]["deviation"] == 0.0
+
+
 def test_validation_accepts_any_gbar_probe_time_and_levels():
     # the closed-form second-moment oracle has no t or volterra_levels domain
     _tiny_diag_cfg(gbar_probe={"t": 1.2, "volterra_levels": 8}).validate()
@@ -209,6 +242,31 @@ def _tiny_clt_cfg(**over):
 def _tiny_fdd_cfg(**over):
     return _tiny_clt_cfg(**{"kind": "fdd", "times": [0.25, 0.5], "n_values": [5.0],
                             **over})
+
+
+@pytest.mark.parametrize("make, passes", [
+    (_tiny_cov_cfg, 1), (_tiny_clt_cfg, 2), (_tiny_fdd_cfg, 1), (_tiny_diag_cfg, 3),
+    (_tiny_shift_cfg, 0),
+])
+def test_run_reads_each_probe_once(make, passes, monkeypatch):
+    # run() makes one engine pass per probe of _probes; only clt's
+    # calibration pass, on the ids after the estimation set, comes on top
+    import shelab.experiments as ex
+    calls = []
+    ensemble = ex._ensemble
+
+    def counted(cfg, grid, ids, probe):
+        calls.append((probe[0], list(ids)))
+        return ensemble(cfg, grid, ids, probe)
+
+    monkeypatch.setattr(ex, "_ensemble", counted)
+    cfg = make()
+    run(cfg)
+    probes = ex._probes(cfg, cfg.grid())
+    assert len(calls) == passes
+    assert calls[:len(probes)] == [(p[0], list(range(cfg.replicates))) for p in probes]
+    if cfg.kind == "clt":
+        assert calls[1] == ("n_values", [50, 51])
 
 
 def test_clt_and_fdd_report_the_tilted_variance_ratio(tmp_path):
@@ -281,6 +339,11 @@ def test_clt_and_fdd_report_the_continuum_first_chaos(tmp_path):
     # p_{t-s}(x - y) = p_0.05(10) underflows to 0
     (_tiny_shift_cfg, dict(half_width=15.0, shift_s=0.45, shift_probes=[[5.0, -5.0]]),
      "shift_probes (5, -5): probe configuration reaches heat-kernel underflow"),
+    # two lags on one cell: the decay fit would count 3 lags over 2 distinct ones
+    (_tiny_cov_cfg, dict(lags=[0.0, 3.0, 3.0, 5.0], fit_window=[1.0, 6.0]),
+     "lags: 3, 3 fall on the same dx cell"),
+    # two equal N: the trend verdict would compare N = 5 with itself and fail
+    (_tiny_clt_cfg, dict(n_values=[5.0, 5.0]), "n_values: 5, 5 fall on the same dx cell"),
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     make().validate()

@@ -8,6 +8,7 @@ from scipy.special import erfc, exp1
 from shelab.oracles import (_cos_gauss_primitive, _first_chaos_weights,
                             _twotime_inner, _twotime_inner_numeric,
                             continuum_first_chaos, lattice_first_chaos,
+                            lattice_first_chaos_covariance,
                             lemma_2, lemma_s0, lemma_twotime, lemma_y,
                             limiting_constant, reduced_cov_integral,
                             second_moment_volterra)
@@ -303,3 +304,38 @@ def test_lattice_first_chaos_preconditions():
         lattice_first_chaos(grid, [0.0, 1.0], 5.0)
     with pytest.raises(ValueError, match="noise cone"):
         lattice_first_chaos(grid, [0.01], 5.0)       # 2 steps reach 2.2
+
+
+def test_lattice_first_chaos_richardson_step_meets_the_continuum():
+    # Var/2t is first order in dx, so one Richardson step of the dx = 0.05
+    # and 0.025 values lands within 0.5% of the continuum's 0.8271 (N = 50)
+    fine, finer = (lattice_first_chaos(default_grid(dx, 60.0), [1.0], 50.0)[0, 0] / 2.0
+                   for dx in (0.05, 0.025))
+    assert (fine, finer) == pytest.approx((0.7355, 0.7804), abs=5e-5)
+    continuum = continuum_first_chaos(1.0, 1.0, 50.0).value / 2.0
+    assert 2.0 * finer - fine == pytest.approx(continuum, rel=5e-3)
+
+
+@pytest.mark.parametrize("half_width, xs, ratios", [
+    (38.0, [3.0, 5.0, 10.0, 20.0, 30.0], [0.8991, 0.8462, 0.7085, 0.4506, 0.2541]),
+    (20.0, [4.0, 6.0, 8.0], [0.8730, 0.8189, 0.7638]),   # the covariance grid
+])
+def test_lattice_first_chaos_covariance_ratio_to_the_continuum(half_width, xs, ratios):
+    # C_lat(x) over reduced_cov_integral(1, x) at dx = 0.1: the lattice cuts
+    # off the t/x tail, which comes from source times s ~ 4 t^2 / x^2 < dt
+    grid = default_grid(0.1, half_width)
+    cov = lattice_first_chaos_covariance(grid, 1.0, xs)
+    cont = [reduced_cov_integral(1.0, x).value for x in xs]
+    assert cov / np.array(cont) == pytest.approx(np.array(ratios), abs=5e-5)
+    assert lattice_first_chaos_covariance(grid, 1.0, [-x for x in xs]) == pytest.approx(
+        cov, rel=1e-12)
+
+
+def test_lattice_first_chaos_covariance_preconditions():
+    grid = default_grid(0.1, 12.0)
+    with pytest.raises(ValueError):
+        lattice_first_chaos_covariance(grid, 0.0, [1.0])
+    with pytest.raises(ValueError, match="lattice"):
+        lattice_first_chaos_covariance(grid, 1.0, [1.05])
+    with pytest.raises(ValueError, match="noise cone"):
+        lattice_first_chaos_covariance(grid, 0.01, [3.0])    # 2 steps reach 2.2

@@ -62,6 +62,33 @@ def test_allowed_grids_are_symmetric_about_the_zero_cell(dx, half_width):
     assert g.index_of(0.0) == g.origin_index
 
 
+@pytest.mark.parametrize("dx, half_width, dt, field", [
+    (0.1, 1.0, float("nan"), "dt"),       # NaN passes every comparison
+    (0.1, float("inf"), 0.005, "half_width"),
+    (float("nan"), 1.0, 0.005, "dx"),
+])
+def test_gridspec_refuses_non_finite_inputs(dx, half_width, dt, field):
+    with pytest.raises(ValueError, match=f"^{field}=.* must be finite"):
+        GridSpec(dx=dx, half_width=half_width, dt=dt)
+
+
+def test_discrete_kernel_log_rows_are_the_k_step_kernels():
+    # row k is k heat steps of the unit delta at x = 0: row 0 the delta,
+    # each row's mass 1 while the cone stays on the grid, and every row equal
+    # to the row of a longer table
+    g = default_grid(0.1, 4.0)
+    table = discrete_kernel_log(g, 12)
+    assert table.shape == (13, g.cell_count)
+    assert table[0, g.origin_index] == 0.0
+    assert (np.delete(table[0], g.origin_index) == -1.0e30).all()
+    assert np.allclose(np.exp(table[:4]).sum(axis=1), 1.0, rtol=0, atol=1e-13)
+    assert np.array_equal(discrete_kernel_log(g, 5), table[:6])
+    Z = _dirac(g) * g.dx
+    for _ in range(3):
+        Z = heat_step(g, Z)
+    assert np.allclose(np.exp(table[3]), Z, rtol=1e-12, atol=1e-300)
+
+
 def test_gridspec_basics():
     g = GridSpec(dx=0.1, half_width=1.0, dt=0.005)
     assert g.cell_count == 21
@@ -343,7 +370,7 @@ def test_batch_engine_rows_do_not_depend_on_run_split(mode):
         for k in (early, late):
             assert np.array_equal(split[k], whole[k])
     assert not np.array_equal(whole[early], whole[late])
-    cone = discrete_kernel_log(g, early) > -1.0e30 / 2
+    cone = discrete_kernel_log(g, early)[early] > -1.0e30 / 2
     assert 0 < cone.sum() < g.cell_count
     outside = -np.inf if mode == "relative" else 0.0
     assert np.all(whole[early][:, ~cone] == outside)
@@ -404,8 +431,8 @@ def test_window_cells_keep_their_bits(mode):
         for k in steps:
             assert np.array_equal(part[k][:, w], whole[k][:, w]), (name, k)
     # the edge windows lie outside the noise cone at step 8 and inside at 30
-    assert (discrete_kernel_log(g, 8)[:6] == -1.0e30).all()
-    assert (discrete_kernel_log(g, 30) > -1.0e30 / 2).all()
+    assert (discrete_kernel_log(g, 8)[8, :6] == -1.0e30).all()
+    assert (discrete_kernel_log(g, 30)[30] > -1.0e30 / 2).all()
 
 
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
