@@ -34,8 +34,8 @@ from scipy import stats as sps
 from . import __version__ as _VERSION
 from .kernels import log_heat_kernel
 from .green import shift_identity_samples, shift_window_cut
-from .oracles import (continuum_first_chaos, lattice_first_chaos,
-                      lattice_first_chaos_covariance, lemma_2, lemma_s0,
+from .oracles import (_bridge_covariance, _bridge_grid, continuum_first_chaos,
+                      lattice_first_chaos, lemma_2, lemma_s0,
                       lemma_twotime, lemma_y, limiting_constant,
                       reduced_cov_integral, second_moment_volterra)
 from .sim import (GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights,
@@ -661,9 +661,15 @@ def _run_covariance(cfg: ExperimentConfig, grid, reads):
     # with no simulation) is removed first: at |x| >> sqrt(t) it exceeds the
     # KS resolution, while the law of the fluctuations around it is the
     # translation-invariant object under test.
+    # One log-kernel table serves that profile and the first chaos below; its
+    # grid is the run's, widened when a lag's bridge needs room.  The truncation
+    # rule keeps the window's cells out of reach of either grid's edge.
+    lags = [float(lag) for lag in est.lags]
+    kgrid = _bridge_grid(grid, t, lags)
+    logK = discrete_kernel_log(kgrid, grid.step_of(t))
     qs = np.linspace(lo, hi, 5)
     pairs = [(qs[i], qs[j]) for i, j in _STATIONARITY_PAIRS]
-    lattice_profile = (discrete_kernel_log(grid, grid.step_of(t))[-1][grid.window(lo, hi)]
+    lattice_profile = (logK[-1][kgrid.window(lo, hi)]
                        - math.log(grid.dx) - log_heat_kernel(t, wpos))
     vals = rows - lattice_profile[None, :]
     ok = np.isfinite(rows)
@@ -686,10 +692,11 @@ def _run_covariance(cfg: ExperimentConfig, grid, reads):
     extras = {"fit": None if fitres is None else asdict(fitres),
               "estimate": {"lags": est.lags.tolist(), "cov": est.cov.tolist(),
                            "se": est.se.tolist(), "n_effective": est.n_effective.tolist()}}
-    # reported, not verdicts: the lattice and the continuum first chaos per lag
-    lags = [float(lag) for lag in est.lags]
-    c_lat = lattice_first_chaos_covariance(grid, t, lags)
-    extras["lattice_first_chaos"] = {str(lag): float(c) for lag, c in zip(lags, c_lat)}
+    # reported, not verdicts: the lattice and the continuum first chaos per
+    # lag; null for a lag past the noise cone, where h(t, lag) = -inf
+    c_lat = _bridge_covariance(kgrid, logK, lags)
+    extras["lattice_first_chaos"] = {str(lag): None if math.isnan(c) else float(c)
+                                     for lag, c in zip(lags, c_lat)}
     extras["continuum_first_chaos"] = {str(lag): reduced_cov_integral(t, lag).value
                                        for lag in lags}
     return tables, verdicts, extras

@@ -324,24 +324,49 @@ def lattice_first_chaos(grid: GridSpec, times, N: float) -> np.ndarray:
 
 
 def lattice_first_chaos_covariance(grid: GridSpec, t: float, xs) -> np.ndarray:
-    """The first chaos of Cov[h(t, x), h(t, 0)] on the lattice of `grid`, at
-    each lattice position x of xs:
+    """The first chaos of Cov[h(t, x), h(t, 0)] on the infinite lattice of
+    grid's dx and dt, at each lattice position x of xs:
 
     (dt/dx) sum_{k < kt} sum_j B_k(x, j) B_k(0, j),
     B_k(x, j) = K_{k+1}(y_j) K_{kt-k-1}(x - y_j) / K_kt(x),
 
     kt the step count of t and K_k the k-step discrete kernel of
     sim.discrete_kernel_log, worked in log space.  B_k(x, .) is the lattice
-    bridge from 0 to x at step k + 1; it is 0 where x - y_j leaves the grid.
-    The continuum limit is reduced_cov_integral(t, x); at dx = 0.1, t = 1
-    the ratio falls from 0.899 at x = 3 to 0.254 at x = 30, because the
-    lattice resolves only noise at source times s >~ dt, and the t/x tail
-    comes from s ~ 4 t^2 / x^2.
+    bridge from 0 to x at step k + 1; _bridge_grid widens grid until every
+    bridge keeps the truncation rule's margin.  Raises for an x past the
+    noise cone, where h(t, x) = -inf.  The continuum limit is
+    reduced_cov_integral(t, x); at dx = 0.1, t = 1 the ratio falls from
+    0.899 at x = 3 to 0.254 at x = 30, because the lattice resolves only
+    noise at source times s >~ dt, and the t/x tail comes from
+    s ~ 4 t^2 / x^2.
     """
     kt = grid.step_of(t)
     if kt <= 0:
         raise ValueError("t must be positive")
-    logK = discrete_kernel_log(grid, kt)
+    grid = _bridge_grid(grid, t, xs)
+    cov = _bridge_covariance(grid, discrete_kernel_log(grid, kt), xs)
+    for x, c in zip(xs, cov):
+        if math.isnan(c):
+            raise ValueError(f"x={x:g} lies outside the noise cone after {kt} steps")
+    return cov
+
+
+def _bridge_grid(grid: GridSpec, t: float, xs) -> GridSpec:
+    """grid, or a wider grid of the same dx and dt whose half-width keeps
+    the truncation rule, L >= max |x| + 8 sqrt(t), for every bridge from 0
+    to x in xs."""
+    x_max = max(abs(float(x)) for x in xs)
+    if grid.covers(t, x_max):
+        return grid
+    cells = math.ceil((x_max + 8.0 * math.sqrt(t)) / grid.dx - 1e-9)
+    return GridSpec(grid.dx, cells * grid.dx, grid.dt)
+
+
+def _bridge_covariance(grid: GridSpec, logK: np.ndarray, xs) -> np.ndarray:
+    """lattice_first_chaos_covariance on grid from its log-kernel table logK
+    (the rows log K_0 ... log K_kt of sim.discrete_kernel_log), without
+    widening grid; nan at each x past the noise cone."""
+    kt = logK.shape[0] - 1
     n, i0 = grid.cell_count, grid.origin_index
     # row k: log K_{k+1}(y_j) and log K_{kt-k-1} by grid index
     head, tail = logK[1:], logK[kt - 1::-1]
@@ -349,7 +374,7 @@ def lattice_first_chaos_covariance(grid: GridSpec, t: float, xs) -> np.ndarray:
     def bridge(x):
         i = grid.index_of(float(x))
         if logK[kt, i] <= _LOG_FLOOR / 2:
-            raise ValueError(f"x={x:g} lies outside the noise cone after {kt} steps")
+            return None
         src = i0 + i - np.arange(n)          # the index of x - y_j
         on = (src >= 0) & (src < n)
         logb = np.full((kt, n), _LOG_FLOOR)
@@ -357,7 +382,8 @@ def lattice_first_chaos_covariance(grid: GridSpec, t: float, xs) -> np.ndarray:
         return np.exp(logb)
 
     b0 = bridge(0.0)
-    return np.array([np.vdot(bridge(x), b0) for x in xs]) * (grid.dt / grid.dx)
+    cov = [math.nan if b is None else np.vdot(b, b0) for b in map(bridge, xs)]
+    return np.array(cov) * (grid.dt / grid.dx)
 
 
 # ---------------------------------------------------------------------------

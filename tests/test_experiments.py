@@ -172,13 +172,18 @@ def test_fdd_reports_the_lattice_first_chaos(tmp_path):
     assert "lattice_first_chaos" not in run(_tiny_clt_cfg()).extras
 
 
-def test_covariance_reports_the_first_chaos_per_lag(tmp_path):
+@pytest.mark.parametrize("over", [
+    {},
+    # a lag past the run grid's edge: the first chaos takes a wider grid
+    dict(bulk_window=[-6.3, 6.3], lags=[0.0, 1.0, 2.0, 12.5]),
+])
+def test_covariance_reports_the_first_chaos_per_lag(tmp_path, over):
     # the lattice and the continuum first chaos of Cov[h(t, x), h(t, 0)] at
     # each lag, in report.json and no CSV; the lattice one lies below
     from shelab.oracles import lattice_first_chaos_covariance, reduced_cov_integral
-    cfg = _tiny_cov_cfg(out_dir=str(tmp_path))
+    cfg = _tiny_cov_cfg(out_dir=str(tmp_path), **over)
     extras = run(cfg).extras
-    lags = [0.0, 1.0, 2.0, 3.0]
+    lags = [float(lag) for lag in cfg.lags]
     assert extras["lattice_first_chaos"] == dict(zip(
         map(str, lags), lattice_first_chaos_covariance(cfg.grid(), 0.5, lags).tolist()))
     assert extras["continuum_first_chaos"] == {
@@ -188,6 +193,19 @@ def test_covariance_reports_the_first_chaos_per_lag(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["extras"]["lattice_first_chaos"] == extras["lattice_first_chaos"]
     assert not any("chaos" in p.read_text() for p in tmp_path.glob("*.csv"))
+
+
+def test_covariance_first_chaos_is_null_past_the_noise_cone():
+    # after 2 steps the cone reaches 2.2, and the lag 4.0 of a window
+    # [-2.2, 2.2] lies past it, where h(t, 4.0) = -inf
+    from shelab.oracles import lattice_first_chaos_covariance
+    cfg = ExperimentConfig(**_EDGE_CONFIGS["cov-lag-past-cone"][0])
+    extras = run(cfg).extras
+    assert extras["lattice_first_chaos"]["4.0"] is None
+    assert extras["lattice_first_chaos"]["0.0"] == lattice_first_chaos_covariance(
+        cfg.grid(), 0.01, [0.0])[0]
+    with pytest.raises(ValueError, match="noise cone"):
+        lattice_first_chaos_covariance(cfg.grid(), 0.01, [4.0])
 
 
 def test_diagnostics_driver_reduces_synthetic_rows():
@@ -737,7 +755,9 @@ def test_cli_exits_2_on_a_probe_the_scheme_cannot_serve(tmp_path, capsys, comman
 # small edge configs of every kind: grids with and without a cell at x = 0
 # (half_width 3.0 gives 61 cells with one at x = 0; 2.95 would give 60 at
 # the half cells, and GridSpec refuses it), windows of 0, 1 and 2 cells, a
-# lag at the cell span, reads at the noise cone's edge, and shift probes
+# lag at the cell span, lags past the grid's edge and past the noise cone
+# (the first chaos then needs a wider grid, or has none), reads at the noise
+# cone's edge, and shift probes
 # either side of heat-kernel underflow; True when validate() must refuse
 # the config
 _EDGE_COV = dict(kind="covariance", dx=0.1, half_width=3.0, times=[0.05], replicates=4)
@@ -756,6 +776,10 @@ _EDGE_CONFIGS = {
     "cov-lag-past-span": (dict(_EDGE_COV, bulk_window=[-1.05, 1.05], lags=[0.0, 2.1]),
                           True),
     "cov-default-window": (dict(_EDGE_COV, lags=[0.0, 0.5]), False),
+    "cov-lag-past-grid-edge": (dict(_EDGE_COV, times=[0.02], bulk_window=[-1.8, 1.8],
+                                    lags=[0.0, 3.5]), False),
+    "cov-lag-past-cone": (dict(_EDGE_COV, times=[0.01], bulk_window=[-2.2, 2.2],
+                               lags=[0.0, 4.0]), False),
     "cov-even-1-cell": (dict(_EDGE_COV, half_width=2.95, bulk_window=[0.0, 0.1],
                              lags=[0.0]), True),
     "cov-even-lag-at-span": (dict(_EDGE_COV, half_width=2.95, bulk_window=[-0.5, 0.5],

@@ -331,6 +331,16 @@ def test_lattice_first_chaos_covariance_ratio_to_the_continuum(half_width, xs, r
         cov, rel=1e-12)
 
 
+def test_lattice_first_chaos_covariance_widens_a_narrow_grid():
+    # the first chaos belongs to the infinite lattice: an x past the grid's
+    # truncation margin, or past its edge, gets the grid that keeps it
+    wide = lattice_first_chaos_covariance(default_grid(0.1, 38.0), 1.0, [30.0])
+    assert lattice_first_chaos_covariance(default_grid(0.1, 20.0), 1.0, [30.0]) == wide
+    assert lattice_first_chaos_covariance(default_grid(0.1, 20.0), 1.0, [8.0]) == (
+        pytest.approx(lattice_first_chaos_covariance(default_grid(0.1, 38.0), 1.0, [8.0]),
+                      rel=1e-12))
+
+
 def test_lattice_first_chaos_covariance_preconditions():
     grid = default_grid(0.1, 12.0)
     with pytest.raises(ValueError):
