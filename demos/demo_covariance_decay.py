@@ -25,11 +25,12 @@ for x in (4.0, 8.0, 100.0):
     v = reduced_cov_integral(1.0, x).value
     print(f"  reduced covariance integral, t=1, x={x:>5g}: (2x/t) value = {2*x*v:.4f}")
 
-M = 1200
-print(f"\nsimulating M = {M} replicates at t = 1 (a few minutes single-core)")
+M, dx, half_width, workers = 1200, 0.1, 20.0, 2
+print(f"\nsimulating M = {M} replicates at t = 1 on dx = {dx:g}, |x| <= {half_width:g}"
+      f" ({round(2 * half_width / dx) + 1} cells), {workers} workers")
 report = run(ExperimentConfig(
-    kind="covariance", master_seed=7, workers=2,
-    dx=0.1, half_width=20.0, times=[1.0],
+    kind="covariance", master_seed=7, workers=workers,
+    dx=dx, half_width=half_width, times=[1.0],
     lags=[0.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0],
     bulk_window=[-12.0, 12.0], fit_window=[3.0, 10.0],
     replicates=M, calibration_replicates=20))

@@ -29,7 +29,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import stats as sps
 
 from . import __version__ as _VERSION
 from .kernels import log_heat_kernel
@@ -229,10 +228,15 @@ class ExperimentConfig:
             # the probe rules refuse a negative first_moment_xmax (an empty
             # window); the holder and gbar probes read the fields below
             read_bad = _time_violations(grid, "holder_s_values", self.holder_s_values)
-            if (self.holder_s_values and not read_bad
-                    and len({grid.step_of(s) for s in self.holder_s_values}) < 2):
+            steps = [] if read_bad else [grid.step_of(s) for s in self.holder_s_values]
+            if len(set(steps)) == 1:
                 bad.append("holder_s_values needs 2 distinct times for the "
                            "exponent fit")
+            else:
+                # a repeated step writes a second holder_l2 row, which the
+                # exponent fit counts twice
+                bad += _repeat_violations("holder_s_values", self.holder_s_values,
+                                          steps, "dt step")
             if self.gbar_probe:
                 bad += [f"gbar_probe: unknown key {key!r}; the keys are "
                         f"{', '.join(_GBAR_PROBE_DEFAULTS)}"
@@ -348,9 +352,14 @@ def _same_cell_violations(grid, name, xs):
     """One violation per dx cell that two values of xs fall on: the reduction
     would read that cell twice (a lag fit counts it twice, and two equal N
     make the clt trend verdict compare a value with itself)."""
-    cells = [round(x / grid.dx) for x in xs]
+    return _repeat_violations(name, xs, [round(x / grid.dx) for x in xs], "dx cell")
+
+
+def _repeat_violations(name, xs, cells, unit):
+    """One violation per lattice cell (of `unit`) that two values of xs fall
+    on, cells[i] being the cell of xs[i]."""
     return [f"{name}: {', '.join(f'{x:g}' for x, c in zip(xs, cells) if c == cell)} "
-            "fall on the same dx cell"
+            f"fall on the same {unit}"
             for cell in sorted(set(cells)) if cells.count(cell) > 1]
 
 
@@ -675,6 +684,8 @@ def _run_covariance(cfg: ExperimentConfig, grid, reads):
     ok = np.isfinite(rows)
     ks_rows = []
     min_p = 1.0
+    # only the KS verdicts need scipy.stats; its import costs 0.29 s, 19 MB (2-vCPU VM)
+    from scipy import stats as sps
     for (x1, x2) in pairs:
         i1 = int(np.argmin(np.abs(wpos - x1)))
         i2 = int(np.argmin(np.abs(wpos - x2)))

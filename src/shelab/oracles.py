@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf, erfcx, exp1, ndtr
 
 from .kernels import fourier_indicator, heat_kernel
@@ -55,6 +54,8 @@ class QuadratureResult:
 
 
 def _quad(f, a, b, **kw):
+    # only the quadrature oracles need scipy.integrate; its import costs 2.5 MB
+    from scipy.integrate import quad
     val, err, info = quad(f, a, b, full_output=True,
                           epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, **kw)[:3]
     return QuadratureResult(value=float(val), abs_error_estimate=float(err),
@@ -214,6 +215,8 @@ def lemma_y(t1: float, t2: float, N: float) -> QuadratureResult:
     Decays to 0 along an N ladder; the dominant contribution shrinks like a
     power of N^{-tau/4} inside the tau integral.
     """
+    from scipy.integrate import quad  # local for the reason _quad gives
+
     tm = _lemma_min_time(t1, t2, N)
     lnN = math.log(N)
 

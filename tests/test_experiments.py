@@ -70,6 +70,9 @@ def _tiny_diag_cfg(**over):
           gbar_probe={}), "first_moment_xmax 4 lies outside the noise cone"),
     (dict(first_moment_xmax=-1.0), "first_moment_xmax"),          # empty first-moment window
     (dict(gbar_probe={"tt": 0.3}), "unknown key 'tt'"),           # would run the default t
+    # a repeated step writes a second holder_l2 row and moves the exponent fit
+    (dict(holder_s_values=[0.01, 0.01, 0.05, 0.2]),
+     "holder_s_values: 0.01, 0.01 fall on the same dt step"),
 ])
 def test_validation_rejects_diagnostics_probes(over, needle):
     _tiny_diag_cfg().validate()
