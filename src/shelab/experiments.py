@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__ as _VERSION
 from .kernels import log_heat_kernel
 from .green import shift_identity_samples, shift_window_cut
-from .oracles import (_bridge_covariance, _bridge_grid, continuum_first_chaos,
-                      lattice_first_chaos, lemma_2, lemma_s0,
+from .oracles import (continuum_first_chaos, lattice_first_chaos,
+                      lattice_first_chaos_covariance, lemma_2, lemma_s0,
                       lemma_twotime, lemma_y, limiting_constant,
                       reduced_cov_integral, second_moment_volterra)
 from .sim import (GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights,
@@ -159,6 +159,8 @@ class ExperimentConfig:
             bad.append("calibration_replicates must be >= 1")
         if not self.times or sorted(self.times) != list(self.times):
             bad.append("times must be a nonempty ascending list")
+        if self.kind != "fdd" and len(self.times) > 1:
+            bad.append(f"{self.kind} reads one time; times holds {len(self.times)}")
         if grid is None or not self.times:
             raise ConfigError(bad)
         # the probe rules run when every field the probes read passed its own
@@ -474,7 +476,22 @@ class RunReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self, **kw) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, **kw)
+        """The report as strict JSON: a non-finite float, such as the N = inf
+        of the oracle suite's extrapolated row, is written as null."""
+        return json.dumps(_finite_or_null(asdict(self)), indent=2, sort_keys=True,
+                          allow_nan=False, **kw)
+
+
+def _finite_or_null(node):
+    """node, a tree of dicts, lists and tuples, with None for every
+    non-finite float."""
+    if isinstance(node, dict):
+        return {key: _finite_or_null(v) for key, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_finite_or_null(v) for v in node]
+    if isinstance(node, float) and not math.isfinite(node):
+        return None
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -670,15 +687,9 @@ def _run_covariance(cfg: ExperimentConfig, grid, reads):
     # with no simulation) is removed first: at |x| >> sqrt(t) it exceeds the
     # KS resolution, while the law of the fluctuations around it is the
     # translation-invariant object under test.
-    # One log-kernel table serves that profile and the first chaos below; its
-    # grid is the run's, widened when a lag's bridge needs room.  The truncation
-    # rule keeps the window's cells out of reach of either grid's edge.
-    lags = [float(lag) for lag in est.lags]
-    kgrid = _bridge_grid(grid, t, lags)
-    logK = discrete_kernel_log(kgrid, grid.step_of(t))
     qs = np.linspace(lo, hi, 5)
     pairs = [(qs[i], qs[j]) for i, j in _STATIONARITY_PAIRS]
-    lattice_profile = (logK[-1][kgrid.window(lo, hi)]
+    lattice_profile = (discrete_kernel_log(grid, grid.step_of(t))[-1][grid.window(lo, hi)]
                        - math.log(grid.dx) - log_heat_kernel(t, wpos))
     vals = rows - lattice_profile[None, :]
     ok = np.isfinite(rows)
@@ -705,7 +716,8 @@ def _run_covariance(cfg: ExperimentConfig, grid, reads):
                            "se": est.se.tolist(), "n_effective": est.n_effective.tolist()}}
     # reported, not verdicts: the lattice and the continuum first chaos per
     # lag; null for a lag past the noise cone, where h(t, lag) = -inf
-    c_lat = _bridge_covariance(kgrid, logK, lags)
+    lags = [float(lag) for lag in est.lags]
+    c_lat = lattice_first_chaos_covariance(grid, t, lags)
     extras["lattice_first_chaos"] = {str(lag): None if math.isnan(c) else float(c)
                                      for lag, c in zip(lags, c_lat)}
     extras["continuum_first_chaos"] = {str(lag): reduced_cov_integral(t, lag).value

@@ -14,8 +14,12 @@ so every driver is a benign 1-2 dimensional adaptive quadrature.  The
 second-moment oracle needs no quadrature: its Volterra system has the
 closed-form delta-Bose solution.  Nothing here consumes simulator output;
 the two lattice oracles, lattice_first_chaos and
-lattice_first_chaos_covariance, take the engine's heat step (its weights
-and log-kernel step, through sim.discrete_kernel_log) and no noise.
+lattice_first_chaos_covariance, take the engine's heat step and no noise.
+Both read the weights of _chaos_weights, which one log-space sweep,
+sim.discrete_kernel_log, computes for any linear functional of h: forward
+from x = 0 for the kernel, backward from the functional for the rest.  A
+lag past the noise cone reads nan in lattice_first_chaos_covariance, and
+null in a covariance report.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from scipy.special import erf, erfcx, exp1, ndtr
 
 from .kernels import fourier_indicator, heat_kernel
-from .sim import _LOG_FLOOR, GridSpec, _BatchEngine, discrete_kernel_log
+from .sim import _LOG_FLOOR, GridSpec, discrete_kernel_log
 
 __all__ = [
     "QuadratureResult",
@@ -271,34 +275,38 @@ def continuum_first_chaos(t1: float, t2: float, N: float) -> QuadratureResult:
     return _scaled(res, 1.0 / (N * math.log(N)))
 
 
-def _first_chaos_weights(grid: GridSpec, steps, N: float):
+def _chaos_weights(grid: GridSpec, logK: np.ndarray, kt: int, cells, logq):
     """The weights a_k(j) = K_{k+1}(y_j) (C^{kt-1-k} u_0)(y_j) of the noise of
-    step k in the first chaos of X_N after kt steps, as one (kt, cell_count)
-    array per step count kt of `steps`.
+    step k < kt in the first chaos of the linear functional sum_i q_i h(t, x_i)
+    after kt steps, a (kt, cell_count) array; None when a cell of `cells` lies
+    past the noise cone.
 
-    K_k is the k-step discrete kernel (cell mass) from the x = 0 cell, read
-    from sim.discrete_kernel_log, C the heat step and u_0 = q / K_kt, with q
-    the trapezoid weights of the cells 0 <= x <= N that
-    stats.spatial_averages uses (they sum to N).  u is advanced in log space
-    with the relative engine's log-kernel step, since K_kt underflows far
-    from the origin where u_0 does not.  C is symmetric, so
-    sum_j a_k(j) = sum_j q_j = N at every k.
+    q is given on the grid indices `cells` by its logs logq, logK is the
+    table of sim.discrete_kernel_log with at least kt + 1 rows, C is the heat
+    step and u_0 = q / K_kt.  u is swept in log space by the same
+    sim.discrete_kernel_log, since K_kt underflows far from the origin where
+    u_0 does not.  C is symmetric, so sum_j a_k(j) = sum_i q_i at every k.
     """
-    eng = _BatchEngine(grid, master_seed=0, mode="relative")
+    if np.any(logK[kt][cells] <= _LOG_FLOOR / 2):
+        return None
+    logu0 = np.full(grid.cell_count, _LOG_FLOOR)
+    logu0[cells] = logq - logK[kt][cells]
+    return np.exp(logK[1:kt + 1] + discrete_kernel_log(grid, kt - 1, logu0)[::-1])
+
+
+def _first_chaos_weights(grid: GridSpec, steps, N: float):
+    """_chaos_weights of X_N after each step count kt of `steps`: q holds
+    the trapezoid weights of the cells 0 <= x <= N that
+    stats.spatial_averages uses (they sum to N)."""
     cells = grid.window(0.0, N)
     logq = np.full(cells.size, math.log(grid.dx))
     logq[[0, -1]] = math.log(grid.dx / 2)
     logK = discrete_kernel_log(grid, max(steps))
     weights = []
     for kt in steps:
-        if np.any(logK[kt][cells] <= _LOG_FLOOR / 2):
+        a = _chaos_weights(grid, logK, kt, cells, logq)
+        if a is None:
             raise ValueError(f"[0, {N:g}] reaches past the noise cone after {kt} steps")
-        logu = np.full(grid.cell_count, _LOG_FLOOR)
-        logu[cells] = logq - logK[kt][cells]
-        a = np.empty((kt, grid.cell_count))
-        for k in range(kt - 1, -1, -1):
-            a[k] = np.exp(logK[k + 1] + logu)
-            logu = eng._advance_logK(logu)[0]
         weights.append(a)
     return weights
 
@@ -330,59 +338,29 @@ def lattice_first_chaos_covariance(grid: GridSpec, t: float, xs) -> np.ndarray:
     """The first chaos of Cov[h(t, x), h(t, 0)] on the infinite lattice of
     grid's dx and dt, at each lattice position x of xs:
 
-    (dt/dx) sum_{k < kt} sum_j B_k(x, j) B_k(0, j),
-    B_k(x, j) = K_{k+1}(y_j) K_{kt-k-1}(x - y_j) / K_kt(x),
+    (dt/dx) sum_{k < kt} sum_j a_k^x(j) a_k^0(j),
 
-    kt the step count of t and K_k the k-step discrete kernel of
-    sim.discrete_kernel_log, worked in log space.  B_k(x, .) is the lattice
-    bridge from 0 to x at step k + 1; _bridge_grid widens grid until every
-    bridge keeps the truncation rule's margin.  Raises for an x past the
-    noise cone, where h(t, x) = -inf.  The continuum limit is
-    reduced_cov_integral(t, x); at dx = 0.1, t = 1 the ratio falls from
-    0.899 at x = 3 to 0.254 at x = 30, because the lattice resolves only
-    noise at source times s >~ dt, and the t/x tail comes from
+    kt the step count of t and a^x the _chaos_weights of a unit mass at x:
+    a_k^x(j) = K_{k+1}(y_j) K_{kt-k-1}(x - y_j) / K_kt(x), the lattice
+    bridge from 0 to x at step k + 1.  The grid is widened (same dx and dt)
+    until its half-width keeps the truncation rule, L >= max |x| + 8 sqrt(t).
+    nan for an x past the noise cone, where h(t, x) = -inf.  The continuum
+    limit is reduced_cov_integral(t, x); at dx = 0.1, t = 1 the ratio falls
+    from 0.899 at x = 3 to 0.254 at x = 30, because the lattice resolves
+    only noise at source times s >~ dt, and the t/x tail comes from
     s ~ 4 t^2 / x^2.
     """
     kt = grid.step_of(t)
     if kt <= 0:
         raise ValueError("t must be positive")
-    grid = _bridge_grid(grid, t, xs)
-    cov = _bridge_covariance(grid, discrete_kernel_log(grid, kt), xs)
-    for x, c in zip(xs, cov):
-        if math.isnan(c):
-            raise ValueError(f"x={x:g} lies outside the noise cone after {kt} steps")
-    return cov
-
-
-def _bridge_grid(grid: GridSpec, t: float, xs) -> GridSpec:
-    """grid, or a wider grid of the same dx and dt whose half-width keeps
-    the truncation rule, L >= max |x| + 8 sqrt(t), for every bridge from 0
-    to x in xs."""
     x_max = max(abs(float(x)) for x in xs)
-    if grid.covers(t, x_max):
-        return grid
-    cells = math.ceil((x_max + 8.0 * math.sqrt(t)) / grid.dx - 1e-9)
-    return GridSpec(grid.dx, cells * grid.dx, grid.dt)
-
-
-def _bridge_covariance(grid: GridSpec, logK: np.ndarray, xs) -> np.ndarray:
-    """lattice_first_chaos_covariance on grid from its log-kernel table logK
-    (the rows log K_0 ... log K_kt of sim.discrete_kernel_log), without
-    widening grid; nan at each x past the noise cone."""
-    kt = logK.shape[0] - 1
-    n, i0 = grid.cell_count, grid.origin_index
-    # row k: log K_{k+1}(y_j) and log K_{kt-k-1} by grid index
-    head, tail = logK[1:], logK[kt - 1::-1]
+    if not grid.covers(t, x_max):
+        cells = math.ceil((x_max + 8.0 * math.sqrt(t)) / grid.dx - 1e-9)
+        grid = GridSpec(grid.dx, cells * grid.dx, grid.dt)
+    logK = discrete_kernel_log(grid, kt)
 
     def bridge(x):
-        i = grid.index_of(float(x))
-        if logK[kt, i] <= _LOG_FLOOR / 2:
-            return None
-        src = i0 + i - np.arange(n)          # the index of x - y_j
-        on = (src >= 0) & (src < n)
-        logb = np.full((kt, n), _LOG_FLOOR)
-        logb[:, on] = head[:, on] + tail[:, src[on]] - logK[kt, i]
-        return np.exp(logb)
+        return _chaos_weights(grid, logK, kt, [grid.index_of(float(x))], 0.0)
 
     b0 = bridge(0.0)
     cov = [math.nan if b is None else np.vdot(b, b0) for b in map(bridge, xs)]

@@ -323,7 +323,7 @@ def tilted_variance_ratio(grid: GridSpec, speed: float) -> float:
     return mean_var(theta)[1] / mean_var(0.0)[1]
 
 
-def discrete_kernel_log(grid: GridSpec, steps: int) -> np.ndarray:
+def discrete_kernel_log(grid: GridSpec, steps: int, start=None) -> np.ndarray:
     """The rows log K_0 ... log K_steps of the k-fold discrete heat kernel
     (cell-mass units), a (steps + 1, cell_count) table.
 
@@ -331,11 +331,16 @@ def discrete_kernel_log(grid: GridSpec, steps: int) -> np.ndarray:
     cell under k steps of the step weights, tracked in log space;
     log(K_k/dx) - log p_t is the deterministic lattice correction to the
     mean height profile at t = k dt.  Cells the kernel has not reached carry
-    a large negative sentinel.
+    a large negative sentinel.  With `start`, a log row, the rows are those
+    of its heat flow instead: row k is log(C^k e^start).  This one sweep
+    serves both lattice first-chaos oracles of the oracles module.
     """
     eng = _BatchEngine(grid, master_seed=0, mode="relative")
     logK = np.full((steps + 1, grid.cell_count), _LOG_FLOOR)
-    logK[0, grid.origin_index] = 0.0
+    if start is None:
+        logK[0, grid.origin_index] = 0.0
+    else:
+        logK[0] = start
     for k in range(steps):
         logK[k + 1] = eng._advance_logK(logK[k])[0]
     return logK

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -207,8 +208,7 @@ def test_covariance_first_chaos_is_null_past_the_noise_cone():
     assert extras["lattice_first_chaos"]["4.0"] is None
     assert extras["lattice_first_chaos"]["0.0"] == lattice_first_chaos_covariance(
         cfg.grid(), 0.01, [0.0])[0]
-    with pytest.raises(ValueError, match="noise cone"):
-        lattice_first_chaos_covariance(cfg.grid(), 0.01, [4.0])
+    assert math.isnan(lattice_first_chaos_covariance(cfg.grid(), 0.01, [4.0])[0])
 
 
 def test_diagnostics_driver_reduces_synthetic_rows():
@@ -365,6 +365,11 @@ def test_clt_and_fdd_report_the_continuum_first_chaos(tmp_path):
      "lags: 3, 3 fall on the same dx cell"),
     # two equal N: the trend verdict would compare N = 5 with itself and fail
     (_tiny_clt_cfg, dict(n_values=[5.0, 5.0]), "n_values: 5, 5 fall on the same dx cell"),
+    # every kind but fdd reads times[-1] alone; an earlier time would be dropped
+    (_tiny_clt_cfg, dict(times=[0.25, 0.5]), "clt reads one time; times holds 2"),
+    (_tiny_cov_cfg, dict(times=[0.25, 0.5]), "covariance reads one time; times holds 2"),
+    (_tiny_diag_cfg, dict(times=[0.25, 0.5]), "diagnostics reads one time; times holds 2"),
+    (_tiny_shift_cfg, dict(times=[0.25, 0.5]), "shift_check reads one time; times holds 2"),
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     make().validate()
@@ -617,6 +622,14 @@ def test_cli_oracle_subcommand(tmp_path, capsys):
     rc = cli_main(["oracle", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "oracle.csv").exists()
+    # strict JSON: the extrapolated row's N = inf is null, not Infinity
+
+    def refuse(name):
+        raise ValueError(f"report.json holds {name}")
+
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+    assert [None] == [row[2] for row in report["tables"]["oracle"]
+                      if row[0] == "lemma_twotime_extrapolated_1_2"]
     text = capsys.readouterr().out
     assert "limiting_constant" in text
 
