@@ -622,11 +622,11 @@ def test_cli_oracle_subcommand(tmp_path, capsys):
     rc = cli_main(["oracle", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "oracle.csv").exists()
-    # strict JSON: the extrapolated row's N = inf is null, not Infinity
 
     def refuse(name):
         raise ValueError(f"report.json holds {name}")
 
+    # strict JSON: the extrapolated row's N = inf is null, not Infinity
     report = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
     assert [None] == [row[2] for row in report["tables"]["oracle"]
                       if row[0] == "lemma_twotime_extrapolated_1_2"]
