@@ -4,7 +4,8 @@ _probes is the one statement of a run's engine reads, each probe with its
 window, times, engine mode and transform.  run() makes one engine pass per
 probe and hands each driver the rows to reduce; validate() checks the cells
 each probe reads against the scheme's rules (enough cells, the noise cone,
-the read radius, truncation), and _regime_extras reports on them.
+the read radius, truncation), and run() reports the slack of the same pass
+(_probe_regime) as regime fields.
 
 Replicates are the unit of parallel work.  Worker processes receive fixed
 chunks of replicate ids (the chunking depends only on the replicate count,
@@ -252,7 +253,7 @@ class ExperimentConfig:
             bad += read_bad
             reads_ok &= not read_bad
         if reads_ok:
-            bad += _probe_violations(self, grid)
+            bad += _probe_regime(self, grid)[0]
         if bad:
             raise ConfigError(bad)
 
@@ -373,13 +374,6 @@ def _truncation_violations(grid, name, x, t):
             f"= {x + 8 * math.sqrt(t):.3f} (truncation control)"]
 
 
-def _reach(grid, lo, hi, times):
-    """(|x| of the farthest cell of grid.window(lo, hi), the cells per step
-    that the walk from the x = 0 cell takes to it by the earliest time)."""
-    far = int(np.abs(grid.window(lo, hi) - grid.origin_index).max())
-    return far * grid.dx, far / grid.step_of(min(times))
-
-
 def _probes(cfg, grid):
     """One (name, lo, hi, times, mode, transform) per engine pass, in the
     driver's order: transform(Z or log Z, t, x) of the cells lo <= x <= hi at
@@ -409,47 +403,43 @@ def _probes(cfg, grid):
     return probes
 
 
-def _probe_violations(cfg, grid):
-    """Each probe's rules, on the cells grid.window returns: enough cells for
-    the reduction; at the earliest time, the farthest cell inside the noise
-    cone (Z is exactly 0 beyond taps // 2 cells per step) and, on the
-    absolute engine, inside sim.read_radius (the cells that keep the bits of
-    the unflushed evolution); the truncation rule at the latest time."""
+def _probe_regime(cfg, grid):
+    """(violations, regime fields) of the probes, each window's cells taken
+    once.  The rules: enough cells for the reduction; at the earliest time,
+    the farthest cell inside the noise cone (Z is exactly 0 beyond taps // 2
+    cells per step) and, on the absolute engine, inside sim.read_radius (the
+    cells that keep the bits of the unflushed evolution); the truncation
+    rule at the latest time.  The fields: underflow_margin, the least read
+    radius minus |x| of the farthest cell over the absolute probes (>= 0 when
+    every read keeps its bits), and tilted_variance_ratio at the relative
+    probe's speed, inside the cone."""
     need = 1 if cfg.kind == "diagnostics" else 2
     half = len(heat_step_weights(grid.dx, grid.dt)) // 2
-    bad = []
+    bad, fields, margins = [], {}, []
     for name, lo, hi, times, mode, _ in _probes(cfg, grid):
         cells = grid.window(lo, hi)
         if cells.size < need:
             bad.append(f"{name}: the window [{lo:g}, {hi:g}] holds {cells.size} of "
                        f"the {need} grid cells the {cfg.kind} reduction needs")
             continue
-        (x, speed), t0 = _reach(grid, lo, hi, times), min(times)
-        r = read_radius(grid, t0)
+        t0 = min(times)
+        far = int(np.abs(cells - grid.origin_index).max())
+        x, speed = far * grid.dx, far / grid.step_of(t0)
         if speed > half:
             bad.append(f"{name} {x:g} lies outside the noise cone "
                        f"|x| <= {half * grid.step_of(t0) * grid.dx:g} at t={t0:g}")
-        if mode == "absolute" and x > r:
-            bad.append(f"{name} {x:g} lies beyond the underflow read radius "
-                       f"|x| <= {r:.3f} at t={t0:g}")
-        bad += _truncation_violations(grid, name, x, max(times))
-    return bad
-
-
-def _regime_extras(cfg, grid):
-    """underflow_margin, the least over the absolute probes of the read radius
-    at the earliest time minus |x| of the farthest cell (>= 0 when every read
-    keeps its bits), and tilted_variance_ratio at the relative probe's speed."""
-    extras, margins = {}, []
-    for _, lo, hi, times, mode, _ in _probes(cfg, grid):
-        x, speed = _reach(grid, lo, hi, times)
+        elif mode == "relative":
+            fields["tilted_variance_ratio"] = tilted_variance_ratio(grid, speed)
         if mode == "absolute":
-            margins.append(read_radius(grid, min(times)) - x)
-        else:
-            extras["tilted_variance_ratio"] = tilted_variance_ratio(grid, speed)
+            r = read_radius(grid, t0)
+            margins.append(r - x)
+            if x > r:
+                bad.append(f"{name} {x:g} lies beyond the underflow read radius "
+                           f"|x| <= {r:.3f} at t={t0:g}")
+        bad += _truncation_violations(grid, name, x, max(times))
     if margins:
-        extras["underflow_margin"] = min(margins)
-    return extras
+        fields["underflow_margin"] = min(margins)
+    return bad, fields
 
 
 def _time_violations(grid, name, times):
@@ -954,7 +944,7 @@ def run(config: ExperimentConfig) -> RunReport:
         reads = {probe[0]: (probe, *_ensemble(config, grid, range(config.replicates), probe))
                  for probe in _probes(config, grid)}
         tables, verdicts, extras = _DRIVERS[config.kind](config, grid, reads)
-        extras.update(_regime_extras(config, grid))
+        extras.update(_probe_regime(config, grid)[1])
         wall = time.perf_counter() - t0
         nreps = config.replicates if config.kind != "oracle_suite" else 0
         report = RunReport(
