@@ -38,8 +38,8 @@ from .oracles import (continuum_first_chaos, lattice_first_chaos,
                       lattice_first_chaos_covariance, lemma_2, lemma_s0,
                       lemma_twotime, lemma_y, limiting_constant,
                       reduced_cov_integral, second_moment_volterra)
-from .sim import (GridSpec, _BatchEngine, discrete_kernel_log, heat_step_weights,
-                  log_residual, read_radius, tilted_variance_ratio)
+from .sim import (GridSpec, _BatchEngine, default_grid, discrete_kernel_log,
+                  heat_step_weights, log_residual, read_radius, tilted_variance_ratio)
 from .stats import (KS_MIN_SAMPLES, CovarianceAccumulator, ks_normality,
                     fdd_covariance, mean_se, spatial_averages)
 
@@ -102,7 +102,7 @@ class ExperimentConfig:
     # grid
     dx: float = 0.1
     half_width: float = 20.0
-    dt: float | None = None          # default dx^2/2
+    dt: float | None = None          # default dx^2/2 (sim.default_grid)
     # ensemble
     replicates: int = 100
     calibration_replicates: int = 20  # read by clt only; validated for every kind
@@ -122,8 +122,9 @@ class ExperimentConfig:
     gbar_probe: dict = field(default_factory=dict)
 
     def grid(self) -> GridSpec:
-        dt = self.dt if self.dt is not None else self.dx ** 2 / 2
-        return GridSpec(dx=self.dx, half_width=self.half_width, dt=dt)
+        if self.dt is None:
+            return default_grid(self.dx, self.half_width)
+        return GridSpec(dx=self.dx, half_width=self.half_width, dt=self.dt)
 
     # -- validation ----------------------------------------------------------
 
@@ -220,13 +221,20 @@ class ExperimentConfig:
                 s_bad = (["need 0 < shift_s < t"] if not 0 < self.shift_s < t
                          else _time_violations(grid, "shift_s", [self.shift_s]))
             bad += s_bad
-            for x, y in filter(None, probes):
+            pairs = list(filter(None, probes))
+            for x, y in pairs:
                 name = f"shift_probes ({x:g}, {y:g})"
                 off = _lattice_violations(grid, "shift_probes", [x, y])
-                bad += off + _truncation_violations(grid, name, max(abs(x), abs(y)), t)
+                # the rule takes sqrt(t); a negative time is refused above
+                bad += off + (_truncation_violations(grid, name, max(abs(x), abs(y)), t)
+                              if t >= 0 else [])
                 cut = None if s_bad or off else shift_window_cut(grid, t, self.shift_s, x, y)
                 if cut:
                     bad.append(f"{name}: {cut}")
+            # two probes on one cell pair would write one extras key for two verdicts
+            bad += _repeat_violations(
+                "shift_probes", [f"({x:g}, {y:g})" for x, y in pairs],
+                [(round(x / grid.dx), round(y / grid.dx)) for x, y in pairs], "cell pair")
         elif self.kind == "diagnostics":
             # the probe rules refuse a negative first_moment_xmax (an empty
             # window); the holder and gbar probes read the fields below
@@ -238,7 +246,8 @@ class ExperimentConfig:
             else:
                 # a repeated step writes a second holder_l2 row, which the
                 # exponent fit counts twice
-                bad += _repeat_violations("holder_s_values", self.holder_s_values,
+                bad += _repeat_violations("holder_s_values",
+                                          [f"{s:g}" for s in self.holder_s_values],
                                           steps, "dt step")
             if self.gbar_probe:
                 bad += [f"gbar_probe: unknown key {key!r}; the keys are "
@@ -355,13 +364,14 @@ def _same_cell_violations(grid, name, xs):
     """One violation per dx cell that two values of xs fall on: the reduction
     would read that cell twice (a lag fit counts it twice, and two equal N
     make the clt trend verdict compare a value with itself)."""
-    return _repeat_violations(name, xs, [round(x / grid.dx) for x in xs], "dx cell")
+    return _repeat_violations(name, [f"{x:g}" for x in xs],
+                              [round(x / grid.dx) for x in xs], "dx cell")
 
 
-def _repeat_violations(name, xs, cells, unit):
-    """One violation per lattice cell (of `unit`) that two values of xs fall
-    on, cells[i] being the cell of xs[i]."""
-    return [f"{name}: {', '.join(f'{x:g}' for x, c in zip(xs, cells) if c == cell)} "
+def _repeat_violations(name, labels, cells, unit):
+    """One violation per lattice cell (of `unit`) that two values fall on,
+    labels[i] naming the value on cells[i]."""
+    return [f"{name}: {', '.join(x for x, c in zip(labels, cells) if c == cell)} "
             f"fall on the same {unit}"
             for cell in sorted(set(cells)) if cells.count(cell) > 1]
 
@@ -371,7 +381,7 @@ def _truncation_violations(grid, name, x, t):
     if grid.covers(t, x):
         return []
     return [f"{name}: half_width {grid.half_width:g} < {x:g} + 8 sqrt({t:g}) "
-            f"= {x + 8 * math.sqrt(t):.3f} (truncation control)"]
+            f"= {grid.truncation_half_width(t, x):.3f} (truncation control)"]
 
 
 def _probes(cfg, grid):
@@ -381,7 +391,7 @@ def _probes(cfg, grid):
     t = cfg.times[-1]
     if cfg.kind == "covariance":
         # the default bulk window keeps the truncation rule's margin
-        w = grid.half_width - 8.0 * math.sqrt(max(cfg.times))
+        w = grid.half_width - grid.truncation_half_width(max(cfg.times))
         lo, hi = cfg.bulk_window or (-w, w)
         return [("bulk_window", float(lo), float(hi), [t], "absolute", log_residual)]
     if cfg.kind == "clt":

@@ -355,7 +355,7 @@ def lattice_first_chaos_covariance(grid: GridSpec, t: float, xs) -> np.ndarray:
         raise ValueError("t must be positive")
     x_max = max(abs(float(x)) for x in xs)
     if not grid.covers(t, x_max):
-        cells = math.ceil((x_max + 8.0 * math.sqrt(t)) / grid.dx - 1e-9)
+        cells = math.ceil(grid.truncation_half_width(t, x_max) / grid.dx - 1e-9)
         grid = GridSpec(grid.dx, cells * grid.dx, grid.dt)
     logK = discrete_kernel_log(grid, kt)
 

@@ -162,9 +162,14 @@ class GridSpec:
         pos = self.positions()
         return np.flatnonzero((pos >= lo - 1e-9) & (pos <= hi + 1e-9))
 
+    def truncation_half_width(self, t: float, x: float = 0.0) -> float:
+        """x + 8 sqrt(t), the least half-width the truncation rule allows for
+        reads out to |x| by time t."""
+        return x + 8.0 * math.sqrt(t)
+
     def covers(self, t_max: float, x_max: float) -> bool:
-        """Truncation rule: L >= x_max + 8 sqrt(t_max)."""
-        return self.half_width >= x_max + 8.0 * np.sqrt(t_max) - 1e-9
+        """Truncation rule: L >= truncation_half_width(t_max, x_max)."""
+        return self.half_width >= self.truncation_half_width(t_max, x_max) - 1e-9
 
 
 def default_grid(dx, half_width) -> GridSpec:

@@ -44,6 +44,13 @@ def test_validation_grid_coverage_and_lattice():
         _tiny_cov_cfg(times=[0.5003]).validate()
 
 
+def test_config_grid_takes_the_default_time_step():
+    # at dx = 0.0397, dx ** 2 / 2 and dx * dx / 2 differ in the last bit
+    from shelab.sim import default_grid
+    cfg = ExperimentConfig(kind="covariance", dx=0.0397, half_width=3.97)
+    assert cfg.grid() == default_grid(0.0397, 3.97)
+
+
 def _tiny_diag_cfg(**over):
     base = dict(kind="diagnostics", master_seed=3, dx=0.1, half_width=10.0,
                 times=[0.5], replicates=8, calibration_replicates=1,
@@ -370,6 +377,11 @@ def test_clt_and_fdd_report_the_continuum_first_chaos(tmp_path):
     (_tiny_cov_cfg, dict(times=[0.25, 0.5]), "covariance reads one time; times holds 2"),
     (_tiny_diag_cfg, dict(times=[0.25, 0.5]), "diagnostics reads one time; times holds 2"),
     (_tiny_shift_cfg, dict(times=[0.25, 0.5]), "shift_check reads one time; times holds 2"),
+    # three probes on one cell pair: six rows and three verdicts, one extras key
+    (_tiny_shift_cfg, dict(shift_probes=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+     "shift_probes: (0, 0), (0, 0), (0, 0) fall on the same cell pair"),
+    # the probes' truncation rule takes sqrt(t)
+    (_tiny_shift_cfg, dict(times=[-0.5]), "time: -0.5 must be positive"),
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     make().validate()
@@ -828,11 +840,20 @@ _EDGE_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(_EDGE_CONFIGS))
 def test_edge_configs_are_refused_or_run(name):
     # validate() raises ConfigError or run() completes; any other exception
-    # fails the test
+    # fails the test.  A run that validate() accepts reports its regime
+    # fields inside their valid ranges
     body, refused = _EDGE_CONFIGS[name]
     cfg = ExperimentConfig(**body)
     if refused:
         with pytest.raises(ConfigError):
             cfg.validate()
-    else:
-        run(cfg)
+        return
+    extras = run(cfg).extras
+    if "underflow_margin" in extras:
+        assert extras["underflow_margin"] >= 0
+    if "tilted_variance_ratio" in extras:
+        # 1 to rounding well inside the cone (1 + 1.3e-15 for clt-odd)
+        assert 0 <= extras["tilted_variance_ratio"] <= 1 + 1e-12
+    if name == "clt-cone-edge":
+        # the read at the noise cone's edge takes only the outermost tap
+        assert extras["tilted_variance_ratio"] == 0.0

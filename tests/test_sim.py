@@ -121,6 +121,14 @@ def test_heat_step_zero_and_constant_fields():
     assert out[0] < 2.5 and out[-1] < 2.5
 
 
+def test_truncation_half_width_sets_the_covers_rule():
+    # reads out to |x| = 1 by t = 0.0625 need L >= 1 + 8 sqrt(0.0625) = 3
+    g = GridSpec(dx=0.1, half_width=3.0, dt=0.005)
+    assert g.truncation_half_width(0.0625, 1.0) == 3.0
+    assert g.truncation_half_width(0.0625) == 2.0
+    assert g.covers(0.0625, 1.0) and not g.covers(0.0625, 1.01)
+
+
 def test_heat_step_mass_conservation_and_positivity():
     # wide enough for the truncation rule at t = 50 dt: no mass reaches the edge
     gw = GridSpec(dx=0.1, half_width=4.0, dt=0.005)
