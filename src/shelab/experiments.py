@@ -228,7 +228,9 @@ class ExperimentConfig:
                 # the rule takes sqrt(t); a negative time is refused above
                 bad += off + (_truncation_violations(grid, name, max(abs(x), abs(y)), t)
                               if t >= 0 else [])
-                cut = None if s_bad or off else shift_window_cut(grid, t, self.shift_s, x, y)
+                # an off-lattice time is reported once, by the time rule above
+                cut = (None if s_bad or off or time_bad
+                       else shift_window_cut(grid, t, self.shift_s, x, y))
                 if cut:
                     bad.append(f"{name}: {cut}")
             # two probes on one cell pair would write one extras key for two verdicts

@@ -69,7 +69,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import convolve1d
-from scipy.optimize import brentq
 from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
@@ -172,6 +171,71 @@ class GridSpec:
         return self.half_width >= self.truncation_half_width(t_max, x_max) - 1e-9
 
 
+def _brentq(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """A root of f in [a, b] by Brent's method (Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of scipy.optimize.brentq (its C solver,
+    scipy/optimize/Zeros/brentq.c): the same IEEE double operations in the
+    same order, the same signbit bracket test and the same stopping rule
+    |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2, so it returns the bits
+    scipy returns.  That matters because the root is heat_step_weights'
+    alpha, and the tap weights feed every byte of every CSV; porting it
+    keeps scipy.optimize (with scipy.linalg and scipy.spatial, about 22 MB
+    and 0.15 s) out of every run's start-up.  Raises ValueError if f(a) and
+    f(b) have the same sign or f returns NaN, RuntimeError if it does not
+    converge in maxiter iterations.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x:f} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (math.copysign(1.0, fpre)
+                                        != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry             # good short step
+            else:
+                spre = scur = sbis                  # bisect
+        else:
+            spre = scur = sbis                      # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}.")
+
+
 def default_grid(dx, half_width) -> GridSpec:
     """Grid with the default time step dt = dx^2 / 2."""
     return GridSpec(dx=dx, half_width=half_width, dt=dx * dx / 2)
@@ -197,7 +261,7 @@ def heat_step_weights(dx: float, dt: float) -> np.ndarray:
     lo, hi = 0.25 * a0, 2.0 * a0
     while disc_var(hi) > v:
         hi *= 2.0
-    alpha = brentq(lambda a: disc_var(a) - v, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    alpha = _brentq(lambda a: disc_var(a) - v, lo, hi, xtol=1e-15, rtol=8.9e-16)
     half = int(np.ceil(np.sqrt(_TAP_LOG_CUT / alpha))) + 1
     j = np.arange(-half, half + 1)
     w = np.exp(-alpha * j * j)
@@ -323,8 +387,8 @@ def tilted_variance_ratio(grid: GridSpec, speed: float) -> float:
     hi = 1.0
     while mean_var(hi)[0] <= speed:     # the tilted mean tends to half
         hi *= 2.0
-    theta = 0.0 if speed == 0.0 else brentq(lambda th: mean_var(th)[0] - speed,
-                                             0.0, hi, xtol=1e-14)
+    theta = 0.0 if speed == 0.0 else _brentq(lambda th: mean_var(th)[0] - speed,
+                                              0.0, hi, xtol=1e-14)
     return mean_var(theta)[1] / mean_var(0.0)[1]
 
 
