@@ -245,9 +245,9 @@ def default_grid(dx, half_width) -> GridSpec:
 def heat_step_weights(dx: float, dt: float) -> np.ndarray:
     """Positive convolution weights for one heat half-step.
 
-    Sampled Gaussian exp(-alpha j^2) with alpha solved so that the discrete
-    variance sum_j w_j (j dx)^2 equals dt to machine precision, normalized to
-    sum_j w_j = 1.
+    Sampled Gaussian exp(-alpha j^2) with alpha solved (by _brentq) so that
+    the discrete variance sum_j w_j (j dx)^2 equals dt to machine precision,
+    normalized to sum_j w_j = 1.
     """
     v = dt / dx ** 2  # target variance in cell units
 

@@ -390,6 +390,15 @@ def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     assert any(needle in v for v in err.value.violations)
 
 
+def test_validation_reports_an_off_lattice_shift_time_once():
+    # the shift window rule reads t through grid.step_of; it is skipped for
+    # a time the time rule already refused, as it is for a bad shift_s
+    with pytest.raises(ConfigError) as err:
+        _tiny_shift_cfg(times=[0.5003]).validate()
+    [only] = err.value.violations
+    assert only.startswith("time: t=0.5003 is not a multiple of dt=")
+
+
 def test_validation_fdd_needs_two_times():
     cfg = ExperimentConfig(kind="fdd", dx=0.1, half_width=30.0,
                            times=[0.25, 0.5, 1.0], n_values=[5.0], replicates=1)

@@ -1,12 +1,15 @@
 import hashlib
+import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
+import shelab.sim as sim
 from shelab.kernels import heat_kernel, log_heat_kernel
 from shelab.noise import NoiseStream, ZeroNoise, _FastNormals
-from shelab.sim import (GridSpec, _BatchEngine, default_grid,
+from shelab.sim import (GridSpec, _BatchEngine, _brentq, default_grid,
                         discrete_kernel_log, evolve, heat_step, heat_step_weights,
                         log_residual, noise_step, read_radius,
                         tilted_variance_ratio, underflow_radius)
@@ -351,6 +354,62 @@ def test_tilted_variance_ratio():
     assert all(a > b for a, b in zip(tail, tail[1:])) and tail[-1] == 0.0
     with pytest.raises(ValueError, match="noise cone"):
         tilted_variance_ratio(g, 11.5)
+
+
+def _record_solves(monkeypatch):
+    """Route sim's root solves through _brentq and scipy.optimize.brentq
+    alike; returns one (port, scipy) pair per solve, each the root followed
+    by every point the solver evaluated f at, in order."""
+    solves = []
+
+    def traced(solve, f, a, b, tols):
+        xs = []
+        root = solve(lambda x: xs.append(x) or f(x), a, b, **tols)
+        return [root] + xs
+
+    def both(f, a, b, **tols):
+        port = traced(_brentq, f, a, b, tols)
+        solves.append((port, traced(scipy_brentq, f, a, b, tols)))
+        return port[0]
+
+    monkeypatch.setattr(sim, "_brentq", both)
+    return solves
+
+
+@pytest.mark.parametrize("dx", [0.2, 0.1, 0.05, 0.025, 1 / 30, 0.1 / 3, 0.1 / 9, 0.1 / 27])
+def test_brentq_port_gives_scipys_tap_width(dx, monkeypatch):
+    # the solve of heat_step_weights' alpha, uncached, at dt/dx^2 = 1, 1/2,
+    # 1/4: the same root and the same iterates, bit for bit
+    solves = _record_solves(monkeypatch)
+    for ratio in (1.0, 0.5, 0.25):
+        heat_step_weights.__wrapped__(dx, ratio * dx * dx)
+    assert len(solves) == 3
+    assert all(port == ref for port, ref in solves), solves
+
+
+@pytest.mark.parametrize("dx", [0.1, 0.05])
+def test_brentq_port_gives_scipys_tilt(dx, monkeypatch):
+    # tilted_variance_ratio's theta at 24 speeds inside the noise cone
+    g = default_grid(dx, 6.0)
+    half = len(heat_step_weights(g.dx, g.dt)) // 2   # cached: only theta is solved below
+    solves = _record_solves(monkeypatch)
+    for speed in np.linspace(0.05, half - 0.05, 24):
+        tilted_variance_ratio(g, speed)
+    assert len(solves) == 24
+    assert all(port == ref for port, ref in solves), solves
+
+
+@pytest.mark.parametrize("solve", [_brentq, scipy_brentq], ids=["port", "scipy"])
+def test_brentq_error_paths(solve):
+    # the port raises what scipy raises, on a bracket of one sign, on a NaN
+    # inside the bracket and when it runs out of iterations
+    with pytest.raises(ValueError, match="different signs"):
+        solve(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        solve(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan, 0.0, 1.0, xtol=1e-12)
+    with pytest.raises(RuntimeError, match="converge"):
+        solve(lambda x: x ** 3 - 2.0, 0.0, 2.0, xtol=1e-15, maxiter=2)
+    assert solve(lambda x: x ** 3 - 2.0, 0.0, 2.0, xtol=1e-15) == pytest.approx(2 ** (1 / 3))
 
 
 @pytest.mark.parametrize("mode", ["absolute", "relative"])

@@ -1,9 +1,13 @@
-"""A shelab run imports scipy.stats and scipy.integrate only if it calls them.
+"""A shelab run imports scipy.optimize, scipy.stats and scipy.integrate only
+if it calls them.
 
-Only the KS verdicts (clt, covariance) use scipy.stats, and only the
-quadrature oracles use scipy.integrate, so `import shelab` and a diagnostics
-or shift_check run must load neither.  The check runs in a fresh interpreter,
-because other test modules import scipy.stats themselves.
+The heat step's tap width is solved by sim._brentq, an in-package port of
+scipy.optimize.brentq, so no shelab code imports scipy.optimize; only the
+KS verdicts (clt, covariance) use scipy.stats, and only the quadrature
+oracles use scipy.integrate, both of which load scipy.optimize themselves.
+So a bare `import shelab`, and a diagnostics or shift_check run, must load
+none of the three.  The checks run in fresh interpreters, because other
+test modules import these modules themselves.
 """
 
 import json
@@ -13,11 +17,11 @@ import sys
 
 import shelab
 
-LAZY = ("scipy.stats", "scipy.integrate")
+LAZY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
 
 SCRIPT = r"""
 import json, sys, tempfile
-import scipy.special, scipy.optimize, scipy.ndimage, scipy.sparse
+import scipy.special, scipy.ndimage, scipy.sparse
 # what the scipy modules every run needs load by themselves
 before = [m for m in LAZY if m in sys.modules]
 import shelab
@@ -38,12 +42,23 @@ print(json.dumps({"before": before, "after": [m for m in LAZY if m in sys.module
 """
 
 
-def test_diagnostics_and_shift_runs_load_neither_scipy_stats_nor_integrate():
+def _fresh_interpreter(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(shelab.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", f"LAZY = {LAZY!r}\n{SCRIPT}"],
+    proc = subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-4000:]
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_diagnostics_and_shift_runs_load_no_lazy_scipy_module():
+    loaded = _fresh_interpreter(f"LAZY = {LAZY!r}\n{SCRIPT}")
     assert set(loaded["after"]) <= set(loaded["before"]), loaded
+
+
+def test_bare_import_loads_no_lazy_scipy_module():
+    loaded = _fresh_interpreter(
+        "import json, sys\nimport shelab\n"
+        f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))")
+    assert loaded == [], loaded
