@@ -22,7 +22,7 @@ print("deterministic benchmarks")
 print(f"  int_0^inf (pi s t^2)^-1/2 e^(-s/4t^2) ds = "
       f"{limiting_constant(1.0).value:.9f}  (exactly 2, any t)")
 for x in (4.0, 8.0, 100.0):
-    v = reduced_cov_integral(1.0, x).value
+    v = reduced_cov_integral(1.0, x)
     print(f"  reduced covariance integral, t=1, x={x:>5g}: (2x/t) value = {2*x*v:.4f}")
 
 M, dx, half_width, workers = 1200, 0.1, 20.0, 2

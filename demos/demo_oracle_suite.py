@@ -22,7 +22,7 @@ for t in (0.1, 1.0, 10.0):
 
 print("\nreduced covariance integral, (2x/t) value -> 2:")
 for x in (10.0, 100.0, 1e3, 1e4):
-    print(f"  x = {x:>7g}: {2 * x * reduced_cov_integral(1.0, x).value:.6f}")
+    print(f"  x = {x:>7g}: {2 * x * reduced_cov_integral(1.0, x):.6f}")
 
 print("\ntwo-time integral -> 2 min(t1,t2), approach is O(1/log N):")
 ladder = [1e2, 1e4, 1e8, 1e16]

@@ -95,7 +95,8 @@ def shift_window_cut(grid: GridSpec, t: float, s: float, x: float, y: float):
     """Why shift_identity_samples refuses the probe (x, y) at times s < t,
     or None: times off the dt lattice or not 0 < s < t, a probe off the
     grid, a z-window that is empty, leaves the grid or is cut by the
-    truncation rule, or a heat kernel either side divides by that is 0."""
+    truncation rule, a heat kernel either side divides by that is 0, or a
+    probe past the truncation rule, half_width >= max(|x|, |y|) + 8 sqrt(t)."""
     try:
         kt, ks, _, _ = grid.step_of(t), grid.step_of(s), grid.index_of(x), grid.index_of(y)
     except ValueError as e:
@@ -111,7 +112,7 @@ def shift_window_cut(grid: GridSpec, t: float, s: float, x: float, y: float):
                 f"edge at {grid.half_width:g}")
     if any(np.any(p == 0.0) for p in kernels):
         return "probe configuration reaches heat-kernel underflow"
-    return None
+    return grid.truncation_cut(t, max(abs(x), abs(y)))
 
 
 def shift_identity_samples(grid: GridSpec, replicate_ids, t: float, s: float,

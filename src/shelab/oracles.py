@@ -1,19 +1,20 @@
-"""Deterministic quadrature oracles, independent of the simulator.
+"""Deterministic oracles, independent of the simulator.
 
 Each closed-form identity and appendix-style bound is evaluated on its
 reduced form: endpoint singularities are removed by substitution
-(s = u^2, s = v^4, r = 1/u), and Gaussian-vs-cosine inner integrals are
-collapsed with the exact primitives
+(s = u^2, s = v^4, r = 1/u), and the inner integrals are collapsed with
+exact primitives: Gaussian against cosine,
 
     int_0^inf (1 - cos(u z)) / z^2 * exp(-c z^2) dz
-        = (pi u / 2) erf(u / (2 sqrt(c))) + sqrt(pi c) (e^{-u^2/(4c)} - 1)
+        = (pi u / 2) erf(u / (2 sqrt(c))) + sqrt(pi c) (e^{-u^2/(4c)} - 1),
 
-    int_0^1 exp(-q / r) dr / r = E_1(q)
-
-so every driver is a benign 1-2 dimensional adaptive quadrature.  The
-second-moment oracle needs no quadrature: its Volterra system has the
-closed-form delta-Bose solution.  Nothing here consumes simulator output;
-the two lattice oracles, lattice_first_chaos and
+the exponential integral, int_0^1 exp(-q / r) dr / r = E_1(q), and, in
+lemma_y, an incomplete gamma function plus a normal tail.  So each
+continuum oracle is a closed form or one benign 1-d adaptive quadrature,
+and no quadrature runs inside another.  Two need no quadrature:
+reduced_cov_integral is an erfcx, and the second-moment Volterra system
+has the closed-form delta-Bose solution.  Nothing here consumes simulator
+output; the two lattice oracles, lattice_first_chaos and
 lattice_first_chaos_covariance, take the engine's heat step and no noise.
 Both read the weights of _chaos_weights, which one log-space sweep,
 sim.discrete_kernel_log, computes for any linear functional of h: forward
@@ -28,9 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfcx, exp1, ndtr
+from scipy.special import erf, erfcx, exp1, gammainc, ndtr
 
-from .kernels import fourier_indicator, heat_kernel
+from .kernels import fourier_indicator
 from .sim import _LOG_FLOOR, GridSpec, discrete_kernel_log
 
 __all__ = [
@@ -92,26 +93,19 @@ def limiting_constant(t: float) -> QuadratureResult:
     return _quad(lambda u: c * math.exp(-u * u / (4 * t * t)), 0.0, np.inf)
 
 
-def reduced_cov_integral(t: float, x: float) -> QuadratureResult:
-    """integral_0^t p_{2s(t-s)/t}((s/t) x) ds.
+def reduced_cov_integral(t: float, x: float) -> float:
+    """integral_0^t p_{2s(t-s)/t}((s/t) x) ds, in closed form.
 
     With s = t sin^2(theta) and u = tan(theta) the integrand becomes
-    sqrt(t/pi) e^{-(x^2/4t) u^2} / (1 + u^2); for x > 0 a further rescaling
-    w = x u / (2 sqrt(t)) keeps the Gaussian spike resolved at any x.
-    (2x/t) times the value tends to 2 as x -> infinity.
+    sqrt(t/pi) e^{-(x^2/4t) u^2} / (1 + u^2), whose integral over u > 0 is
+
+        (sqrt(pi t)/2) erfcx(x / (2 sqrt t)) = (t/x) (1 - 2t/x^2 + O(x^-4)),
+
+    so (2x/t) times the value tends to 2 as x -> infinity.
     """
     if t <= 0 or x < 0:
         raise ValueError("need t > 0 and x >= 0")
-    pref = math.sqrt(t / math.pi)
-    if x == 0.0:
-        return _quad(lambda u: pref / (1.0 + u * u), 0.0, np.inf)
-    q = x / (2.0 * math.sqrt(t))
-
-    def f(w):
-        u = w / q
-        return (pref / q) * math.exp(-w * w) / (1.0 + u * u)
-
-    return _quad(f, 0.0, np.inf)
+    return 0.5 * math.sqrt(math.pi * t) * float(erfcx(x / (2.0 * math.sqrt(t))))
 
 
 def _cos_gauss_primitive(u: float, c: float) -> float:
@@ -217,30 +211,28 @@ def lemma_y(t1: float, t2: float, N: float) -> QuadratureResult:
     t2^{-1} int_0^2 int_R p_1(y) (1 ^ |N^{-tau} y sqrt(N^tau/(t1^t2) - 1/t2)|^{1/2}) dy dtau.
 
     Decays to 0 along an N ladder; the dominant contribution shrinks like a
-    power of N^{-tau/4} inside the tau integral.
-    """
-    from scipy.integrate import quad  # local for the reason _quad gives
+    power of N^{-tau/4} inside the tau integral.  The y integral is closed:
+    with scale = N^{-tau} sqrt(N^tau/(t1^t2) - 1/t2), the kink of (1 ^ .)
+    sits at y = k = 1/scale, and u = y^2/2 turns the part below k into an
+    incomplete gamma function and leaves a normal tail,
 
+        2 [sqrt(scale) 2^{-1/4} Gamma(3/4) (2 pi)^{-1/2} P(3/4, k^2/2) + Phi(-k)],
+
+    0 at scale = 0; tau remains as a 1-d adaptive quadrature.
+    """
     tm = _lemma_min_time(t1, t2, N)
     lnN = math.log(N)
+    c = 2.0 ** -0.25 * math.gamma(0.75) / math.sqrt(2.0 * math.pi)
 
     def inner(tau):
         lam = math.exp(tau * lnN) / tm - 1.0 / t2
         scale = math.exp(-tau * lnN) * math.sqrt(max(lam, 0.0))
+        if scale == 0.0:
+            return 0.0
+        k = 1.0 / scale
+        return 2.0 * (math.sqrt(scale) * c * gammainc(0.75, 0.5 * k * k) + ndtr(-k))
 
-        def g(y):
-            return heat_kernel(1.0, y) * min(1.0, math.sqrt(scale * y))
-
-        # the (1 ^ .) kink sits at y = 1/scale; split there so quad sees
-        # smooth pieces
-        kink = 1.0 / scale if scale > 1.0 / 12.0 else None
-        pts = [kink] if kink else None
-        return quad(g, 0.0, 12.0, points=pts, epsabs=1e-12, epsrel=1e-10)[0] * 2.0
-
-    res = _quad(inner, 0.0, 2.0)
-    return QuadratureResult(value=res.value / t2,
-                            abs_error_estimate=res.abs_error_estimate / t2,
-                            evaluations=res.evaluations)
+    return _scaled(_quad(inner, 0.0, 2.0), 1.0 / t2)
 
 
 def continuum_first_chaos(t1: float, t2: float, N: float) -> QuadratureResult:

@@ -170,6 +170,13 @@ class GridSpec:
         """Truncation rule: L >= truncation_half_width(t_max, x_max)."""
         return self.half_width >= self.truncation_half_width(t_max, x_max) - 1e-9
 
+    def truncation_cut(self, t: float, x: float) -> str | None:
+        """Why reads out to |x| by time t break the truncation rule, or None."""
+        if self.covers(t, x):
+            return None
+        return (f"half_width {self.half_width:g} < {x:g} + 8 sqrt({t:g}) "
+                f"= {self.truncation_half_width(t, x):.3f} (truncation control)")
+
 
 def _brentq(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
     """A root of f in [a, b] by Brent's method (Brent, *Algorithms for
@@ -362,9 +369,15 @@ def tilted_variance_ratio(grid: GridSpec, speed: float) -> float:
 
     A read at x after k steps has its kernel carried by the walk tilted to
     speed x/(k dx); a ratio below 1 means the lattice resolves fluctuations
-    there with less than the continuum's variance.  The tilt is symmetric
-    in the sign of `speed`; at the noise-cone edge, |speed| = taps // 2, the
-    tilted walk takes only the outermost tap and the ratio is 0.
+    there with less than the continuum's variance, above 1 with more.  The
+    weights are a sampled Gaussian, and its tilt to a whole speed m is the
+    same Gaussian moved m cells, so away from the cut-off taps the ratio is
+    periodic in `speed` with period 1 cell/step: 1 to rounding at whole
+    speeds, 1.0040198 at half-integer speeds with dt = dx^2/2, and 1.2078
+    with dt = dx^2/4.  The tilt is symmetric in the sign of `speed`; near
+    the noise-cone edge the cut-off taps pull the ratio down, and at
+    |speed| = taps // 2 the tilted walk takes only the outermost tap and
+    the ratio is 0.
     """
     w = heat_step_weights(grid.dx, grid.dt)
     half = len(w) // 2

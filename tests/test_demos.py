@@ -1,10 +1,14 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -21,8 +25,18 @@ def test_demo_imports_exist(path):
                     importlib.import_module(a.name)
 
 
-MODULES = sorted(p.stem for p in (Path(__file__).resolve().parent.parent
-                                  / "src" / "shelab").glob("*.py")
+def test_oracle_suite_demo_runs():
+    # the import check above cannot see a demo that misreads what an oracle
+    # returns; this demo touches no simulator, so it is quick to run
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "demo_oracle_suite.py")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert "second-moment oracle" in proc.stdout
+
+
+MODULES = sorted(p.stem for p in (ROOT / "src" / "shelab").glob("*.py")
                  if p.stem != "__init__")
 
 

@@ -198,7 +198,7 @@ def test_covariance_reports_the_first_chaos_per_lag(tmp_path, over):
     assert extras["lattice_first_chaos"] == dict(zip(
         map(str, lags), lattice_first_chaos_covariance(cfg.grid(), 0.5, lags).tolist()))
     assert extras["continuum_first_chaos"] == {
-        str(lag): reduced_cov_integral(0.5, lag).value for lag in lags}
+        str(lag): reduced_cov_integral(0.5, lag) for lag in lags}
     for lag in map(str, lags):
         assert 0.0 < extras["lattice_first_chaos"][lag] < extras["continuum_first_chaos"][lag]
     report = json.loads((tmp_path / "report.json").read_text())
@@ -316,6 +316,15 @@ def test_clt_and_fdd_report_the_tilted_variance_ratio(tmp_path):
         assert not any("tilt" in p.read_text() for p in out.glob("*.csv"))
 
 
+def test_clt_reports_a_tilted_variance_ratio_above_one_between_whole_speeds():
+    # N = 12.5 at t = 0.5 is read at 1.25 cells/step, between whole speeds,
+    # where the ratio exceeds 1 (sim.tilted_variance_ratio); the config is valid
+    cfg = _tiny_clt_cfg(n_values=[5.0, 12.5])
+    cfg.validate()
+    assert run(cfg).extras["tilted_variance_ratio"] == pytest.approx(1.0020135, rel=0,
+                                                                    abs=5e-8)
+
+
 def test_clt_and_fdd_report_the_continuum_first_chaos(tmp_path):
     # the exact continuum first chaos over 2 (t1 ^ t2), beside each clt ratio
     # and the fdd ratio, in report.json and no CSV
@@ -380,7 +389,7 @@ def test_clt_and_fdd_report_the_continuum_first_chaos(tmp_path):
     # three probes on one cell pair: six rows and three verdicts, one extras key
     (_tiny_shift_cfg, dict(shift_probes=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
      "shift_probes: (0, 0), (0, 0), (0, 0) fall on the same cell pair"),
-    # the probes' truncation rule takes sqrt(t)
+    # no shift probe rule runs at a negative time (the truncation rule takes sqrt(t))
     (_tiny_shift_cfg, dict(times=[-0.5]), "time: -0.5 must be positive"),
 ])
 def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
@@ -388,6 +397,15 @@ def test_validation_rejects_runs_that_fail_or_misreport(make, over, needle):
     with pytest.raises(ConfigError) as err:
         make(**over).validate()
     assert any(needle in v for v in err.value.violations)
+
+
+def test_validation_refuses_a_shift_probe_past_the_truncation_rule():
+    # the sampler's own refusal, named by the probe
+    with pytest.raises(ConfigError) as err:
+        _tiny_shift_cfg(shift_probes=[[1.5, 0.5]]).validate()
+    assert err.value.violations == [
+        "shift_probes (1.5, 0.5): half_width 7 < 1.5 + 8 sqrt(0.5) = 7.157 "
+        "(truncation control)"]
 
 
 def test_validation_reports_an_off_lattice_shift_time_once():
@@ -861,7 +879,9 @@ def test_edge_configs_are_refused_or_run(name):
     if "underflow_margin" in extras:
         assert extras["underflow_margin"] >= 0
     if "tilted_variance_ratio" in extras:
-        # 1 to rounding well inside the cone (1 + 1.3e-15 for clt-odd)
+        # these configs read at whole speeds (clt-odd at 3 cells/step), where
+        # the ratio is 1 to rounding (1 + 1.3e-15 for clt-odd); between whole
+        # speeds it exceeds 1 by up to 0.4%
         assert 0 <= extras["tilted_variance_ratio"] <= 1 + 1e-12
     if name == "clt-cone-edge":
         # the read at the noise cone's edge takes only the outermost tap

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,9 +138,10 @@ def test_estimate_gbar_moment_mean_one():
     assert abs(mean - 1.0) <= 3 * se
 
 
-def test_shift_identity_lattice_exact_at_origin(grid):
+def test_shift_identity_lattice_exact_at_origin():
     # at (x, y) = (0, 0) the rhs z-sum telescopes through the lattice
     # Chapman-Kolmogorov identity, so lhs == rhs replicate by replicate
+    grid = GridSpec(dx=0.1, half_width=5.5, dt=0.005)     # 8 sqrt(0.4) = 5.06
     lhs, rhs, dropped = shift_identity_samples(grid, range(6), 0.4, 0.2, 0.0, 0.0,
                                                master_seed=17)
     assert dropped == 0
@@ -160,7 +162,7 @@ def test_shift_samples_pinned():
 
 
 def test_shift_identity_check_small():
-    grid = GridSpec(dx=0.1, half_width=5.0, dt=0.005)
+    grid = GridSpec(dx=0.1, half_width=6.5, dt=0.005)     # 1 + 8 sqrt(0.4) = 6.06
     lhs, rhs, dropped = shift_identity_samples(grid, range(250), 0.4, 0.2, 1.0, 0.5,
                                                master_seed=17)
     assert lhs.size == 250
@@ -171,7 +173,7 @@ def test_shift_identity_check_small():
 def test_shift_identity_degenerates_to_one_at_small_s():
     # as s drops to the first lattice time both normalized Green ratios
     # approach 1; tolerance from the s^(1/4) short-time bound
-    grid = GridSpec(dx=0.1, half_width=5.0, dt=0.005)
+    grid = GridSpec(dx=0.1, half_width=5.5, dt=0.005)
     s = grid.dt
     lhs, rhs, _ = shift_identity_samples(grid, range(300), 0.4, s, 0.0, 0.0,
                                          master_seed=23)
@@ -181,7 +183,7 @@ def test_shift_identity_degenerates_to_one_at_small_s():
 
 
 def test_shift_identity_sharding_concatenates():
-    grid = GridSpec(dx=0.1, half_width=4.0, dt=0.005)
+    grid = GridSpec(dx=0.1, half_width=5.0, dt=0.005)     # 0.5 + 8 sqrt(0.3) = 4.88
     full = shift_identity_samples(grid, range(8), 0.3, 0.1, 0.5, 0.0, master_seed=2)
     a = shift_identity_samples(grid, range(4), 0.3, 0.1, 0.5, 0.0, master_seed=2)
     b = shift_identity_samples(grid, range(4, 8), 0.3, 0.1, 0.5, 0.0, master_seed=2)
@@ -197,6 +199,16 @@ def test_shift_samples_reject_z_plus_y_outside_grid():
         shift_identity_samples(grid, range(2), 0.4, 0.2, 2.0, 0.5, master_seed=1)
 
 
+def test_shift_samples_refuse_a_probe_past_the_truncation_rule():
+    # validate() refuses these probes by the truncation rule; the sampler
+    # refuses them too, with the same reason, for |x| and for |y|
+    with pytest.raises(ValueError, match=re.escape(
+            "half_width 7 < 1.5 + 8 sqrt(0.5) = 7.157 (truncation control)")):
+        shift_identity_samples(default_grid(0.05, 7.0), range(4), 0.5, 0.25, 1.5, 0.5)
+    with pytest.raises(ValueError, match="truncation control"):
+        shift_identity_samples(default_grid(0.05, 7.0), range(4), 0.5, 0.25, 0.0, -1.5)
+
+
 def test_shift_samples_reject_a_cut_z_window():
     # the z-window is centred at z = (s/t) x - y = 7.5, past the edge at 7:
     # z + y stays on the grid, but only 0.089 of the window's mass does
@@ -205,10 +217,11 @@ def test_shift_samples_reject_a_cut_z_window():
         shift_identity_samples(grid, range(20), 0.5, 0.25, 4.0, -5.5, master_seed=1)
 
 
-def test_shift_samples_match_public_passes(grid):
+def test_shift_samples_match_public_passes():
     # both sides rebuilt from one-row forward sweeps and an adjoint pass on a
     # factor table of NoiseStream draws: the shift driver must be those
     # passes, bit for bit
+    grid = GridSpec(dx=0.1, half_width=6.5, dt=0.005)     # 1 + 8 sqrt(0.4) = 6.06
     t, s, x, y, seed = 0.4, 0.2, 1.0, 0.5, 17
     lhs, rhs, dropped = shift_identity_samples(grid, range(5), t, s, x, y,
                                                master_seed=seed)

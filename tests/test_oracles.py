@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,27 +27,44 @@ def test_limiting_constant_is_two_for_all_t():
 
 
 def test_reduced_cov_integral_at_zero():
-    res = reduced_cov_integral(1.0, 0.0)
+    value = reduced_cov_integral(1.0, 0.0)
     # int_0^1 p_{2s(1-s)}(0) ds = sqrt(pi)/2, and a brute-force midpoint
     # Riemann sum over 10^6 nodes of the regularized form agrees
-    assert res.value == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-10)
+    assert value == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-10)
     n = 1_000_000
     theta = (np.arange(n) + 0.5) * (math.pi / 2 / n)
     riemann = math.sqrt(1 / math.pi) * np.sum(
         np.exp(-0.0 * np.tan(theta) ** 2)) * (math.pi / 2 / n)
-    assert res.value == pytest.approx(riemann, abs=1e-6)
+    assert value == pytest.approx(riemann, abs=1e-6)
 
 
 def test_reduced_cov_integral_closed_form_cross_check():
-    # independent closed form: (sqrt(pi t)/2) e^{q^2} erfc(q), q = x/(2 sqrt t)
-    for t, x in [(1.0, 0.5), (1.0, 4.0), (0.3, 2.0), (2.0, 10.0)]:
+    # independent route: adaptive quadrature of the theta form of the
+    # integral, s = t sin^2(theta), sqrt(t/pi) e^{-q^2 tan^2(theta)} on
+    # [0, pi/2], q = x / (2 sqrt t).  It is written in phi = pi/2 - theta,
+    # tan(theta) = 1/tan(phi), which keeps full precision near theta = pi/2.
+    # It falls off where tan(theta) ~ 1/q (a spike at theta = 0 for large x,
+    # a drop at pi/2 with a q^2/phi^2 tail for small x), so the pieces break
+    # on a decade ladder of tan(phi) / q
+    xs = (0.0, 1e-6, 0.5, 2.0, 4.0, 10.0, 100.0, 1e3, 1e4)
+    for t, x in itertools.product((0.1, 1.0, 10.0), xs):
         q = x / (2 * math.sqrt(t))
-        closed = math.sqrt(math.pi * t) / 2 * math.exp(q * q) * erfc(q)
-        assert reduced_cov_integral(t, x).value == pytest.approx(closed, rel=1e-9)
+
+        def f(phi):
+            return math.sqrt(t / math.pi) * math.exp(-(q / math.tan(phi)) ** 2)
+
+        edges = [0.0, *(math.atan(q * 10.0 ** k) for k in range(-1, 8)), math.pi / 2]
+        ref = sum(quad(f, a, b, epsabs=1e-17, epsrel=1e-11, limit=200)[0]
+                  for a, b in zip(edges, edges[1:]))
+        assert reduced_cov_integral(t, x) == pytest.approx(ref, rel=1e-9)
+    with pytest.raises(ValueError):
+        reduced_cov_integral(0.0, 1.0)
+    with pytest.raises(ValueError):
+        reduced_cov_integral(1.0, -1.0)
 
 
 def test_reduced_cov_integral_ladder_tends_to_two():
-    vals = [2 * x * reduced_cov_integral(1.0, x).value for x in (10, 100, 1000, 10000)]
+    vals = [2 * x * reduced_cov_integral(1.0, x) for x in (10, 100, 1000, 10000)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert abs(vals[-1] - 2.0) <= 1e-2
 
@@ -60,7 +78,7 @@ def test_reduced_cov_integral_node_doubling_stability():
         return float(f.sum() * (math.pi / 2 / n))
     a, b = midpoint(40_000), midpoint(80_000)
     assert abs(a - b) <= 1e-8
-    assert reduced_cov_integral(t, x).value == pytest.approx(b, abs=1e-8)
+    assert reduced_cov_integral(t, x) == pytest.approx(b, abs=1e-8)
 
 
 def test_cos_gauss_primitive_against_quadrature():
@@ -171,6 +189,33 @@ def test_lemma_y_ladder_and_integrand():
     assert min(1.0, math.sqrt(0.0)) == 0.0
 
 
+def _lemma_y_nested(t1, t2, N):
+    # the nested form of lemma_y: a y-quadrature, split at the kink of
+    # (1 ^ .) and cut at y = 12, inside the tau-quadrature
+    def inner(tau):
+        lam = N ** tau / min(t1, t2) - 1.0 / t2
+        scale = N ** -tau * math.sqrt(max(lam, 0.0))
+
+        def g(y):
+            return math.exp(-y * y / 2) / math.sqrt(2 * math.pi) * min(1.0, math.sqrt(scale * y))
+
+        pts = [1.0 / scale] if scale > 1.0 / 12.0 else None
+        return 2.0 * quad(g, 0.0, 12.0, points=pts, epsabs=1e-12, epsrel=1e-10)[0]
+
+    val, _, info = quad(inner, 0.0, 2.0, epsabs=1e-10, epsrel=1e-10, full_output=True)[:3]
+    return val / t2, info["neval"]
+
+
+@pytest.mark.parametrize("t1, t2, N", [(1.0, 2.0, 1e2), (1.0, 2.0, 1e4), (1.0, 2.0, 1e8),
+                                       (0.5, 3.0, 1e3)])
+def test_lemma_y_closed_inner_integral_matches_the_nested_quadrature(t1, t2, N):
+    # the incomplete-gamma y-integral against a y-quadrature of p_1(y) (1 ^ .)
+    ref, neval = _lemma_y_nested(t1, t2, N)
+    res = lemma_y(t1, t2, N)
+    assert res.value == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert res.evaluations == neval
+
+
 def test_oracle_preconditions():
     for fn in (lemma_twotime, lemma_s0, lemma_2, lemma_y):
         with pytest.raises(ValueError):
@@ -251,7 +296,7 @@ def test_continuum_first_chaos_equals_the_covariance_integral_at_one_time():
     # at t1 = t2 = t: 2 int_0^N (N - x) R(x) dx / (N log N), R the first-chaos
     # height covariance reduced_cov_integral(t, x)
     N, t = 50.0, 1.0
-    inner = quad(lambda x: (N - x) * reduced_cov_integral(t, x).value, 0.0, N,
+    inner = quad(lambda x: (N - x) * reduced_cov_integral(t, x), 0.0, N,
                  epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     assert continuum_first_chaos(t, t, N).value == pytest.approx(
         2.0 * inner / (N * math.log(N)), rel=1e-12)
@@ -336,7 +381,7 @@ def test_lattice_first_chaos_covariance_ratio_to_the_continuum(half_width, xs, r
     # off the t/x tail, which comes from source times s ~ 4 t^2 / x^2 < dt
     grid = default_grid(0.1, half_width)
     cov = lattice_first_chaos_covariance(grid, 1.0, xs)
-    cont = [reduced_cov_integral(1.0, x).value for x in xs]
+    cont = [reduced_cov_integral(1.0, x) for x in xs]
     assert cov / np.array(cont) == pytest.approx(np.array(ratios), abs=5e-5)
     assert lattice_first_chaos_covariance(grid, 1.0, [-x for x in xs]) == pytest.approx(
         cov, rel=1e-12)

@@ -356,6 +356,18 @@ def test_tilted_variance_ratio():
         tilted_variance_ratio(g, 11.5)
 
 
+@pytest.mark.parametrize("dt, between", [(0.005, 1.0040198), (0.0025, 1.2077977)])
+def test_tilted_variance_ratio_has_period_one_cell_per_step(dt, between):
+    # the step weights are a sampled Gaussian, and tilted to a whole speed m
+    # they are the same Gaussian moved m cells: inside the cone the ratio is
+    # 1 to rounding at whole speeds and above 1 between them, more so for
+    # the narrower step of dt = dx^2/4 than for dt = dx^2/2
+    g = GridSpec(dx=0.1, half_width=6.0, dt=dt)
+    for m in range(5):
+        assert tilted_variance_ratio(g, m) == pytest.approx(1.0, rel=0, abs=1e-14)
+        assert tilted_variance_ratio(g, m + 0.5) == pytest.approx(between, rel=0, abs=5e-8)
+
+
 def _record_solves(monkeypatch):
     """Route sim's root solves through _brentq and scipy.optimize.brentq
     alike; returns one (port, scipy) pair per solve, each the root followed
