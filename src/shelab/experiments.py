@@ -687,7 +687,9 @@ def _run_covariance(cfg: ExperimentConfig, grid, reads):
     ok = np.isfinite(rows)
     ks_rows = []
     min_p = 1.0
-    # only the KS verdicts need scipy.stats; its import costs 0.29 s, 19 MB (2-vCPU VM)
+    # only this test (ks_2samp) needs scipy.stats; after import shelab it costs
+    # about 0.45 s and 40 MB with the scipy.optimize and scipy.linalg it loads
+    # (2-vCPU VM)
     from scipy import stats as sps
     for (x1, x2) in pairs:
         i1 = int(np.argmin(np.abs(wpos - x1)))

@@ -59,7 +59,9 @@ class QuadratureResult:
 
 
 def _quad(f, a, b, **kw):
-    # only the quadrature oracles need scipy.integrate; its import costs 2.5 MB
+    # only the quadrature oracles need scipy.integrate; after import shelab it
+    # costs about 0.17 s and 22 MB with the scipy.optimize and scipy.linalg it
+    # loads (2-vCPU VM)
     from scipy.integrate import quad
     val, err, info = quad(f, a, b, full_output=True,
                           epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, **kw)[:3]

@@ -181,12 +181,10 @@ def test_lemma_2_dominating_integral_finite():
     assert abs(a - b) < 1e-6          # stable under re-subdivision
 
 
-def test_lemma_y_ladder_and_integrand():
+def test_lemma_y_ladder():
     vals = [lemma_y(1.0, 2.0, n).value for n in (1e2, 1e3, 1e4)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert lemma_y(1.0, 2.0, 1e8).value < 0.1
-    # integrand vanishes at y = 0 through the (1 ^ sqrt) factor
-    assert min(1.0, math.sqrt(0.0)) == 0.0
 
 
 def _lemma_y_nested(t1, t2, N):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from shelab.sim import GridSpec
-from shelab.stats import (CovarianceAccumulator, fdd_covariance, ks_normality,
-                          spatial_averages)
+from shelab.stats import (CovarianceAccumulator, _kstwo_sf, fdd_covariance,
+                          ks_normality, spatial_averages)
 
 
 def _accumulate(rows, window, t=1.0, lags=(0.0, 0.5, 1.0, 2.0)):
@@ -135,6 +138,61 @@ def test_ks_normality_null_and_power():
     assert rep3.reject and rep3.statistic == 0.5 and rep3.p_value == 0.0
     with pytest.raises(ValueError):
         ks_normality(np.zeros(49))
+
+
+# (n, d) points on each branch of scipy's kstwo.sf path (_kolmogn with
+# cdf=False), in the order it tests them; x = n d^2
+_KSTWO_BRANCHES = {
+    "d <= 0": [(60, 0.0), (60, -0.25), (4161, 0.0)],
+    "d >= 1": [(60, 1.0), (4161, 1.5)],
+    "n d <= 0.5": [(60, 0.5 / 60), (60, 0.2 / 60), (4161, 0.5 / 4161)],
+    "0.5 < n d <= 1, n <= 140": [(60, 0.7 / 60), (140, 1.0 / 140)],
+    "0.5 < n d <= 1, n > 140": [(141, 0.7 / 141), (4161, 0.9 / 4161)],
+    "n d >= n - 1": [(60, 59 / 60), (4161, 0.9999)],
+    "d >= 0.5": [(60, 0.5), (4161, 0.75)],
+    "n <= 140, x <= 0.754693: DMTW": [(50, 0.1), (60, 0.05), (140, 0.07)],
+    "n <= 140, x <= 4: Pomeranz": [(50, 0.2), (77, 0.15), (140, 0.16)],
+    "n <= 140, x > 4: smirnov": [(50, 0.3), (140, 0.2)],
+    "n > 140, x >= 370": [(4161, 0.3), (10_000, 0.2)],
+    "n > 140, x >= 2.2": [(141, 0.13), (4161, 0.05)],
+    "n > 140, n d^1.5 <= 1.4: DMTW": [(150, 0.03), (200, 0.02), (4161, 0.003),
+                                      (100_000, 0.0001)],
+    "n > 140, PelzGood": [(200, 0.05), (4161, 0.01), (4161, 0.02)],
+    "n > 100000": [(100_001, 0.0001), (200_000, 0.001), (200_000, 0.005),
+                   (1_000_000, 2e-6)],
+}
+
+
+@pytest.mark.parametrize("branch", list(_KSTWO_BRANCHES))
+def test_ks_port_gives_scipys_kstwo_sf(branch):
+    for n, d in _KSTWO_BRANCHES[branch]:
+        for dd in (d, np.nextafter(d, -1.0), np.nextafter(d, 2.0)):
+            dd = np.float64(dd)
+            assert _kstwo_sf(n, dd) == sps.kstwo.sf(dd, n), (n, float(dd))
+
+
+def test_ks_port_gives_scipys_kstwo_sf_on_a_dense_grid():
+    # every n that ks_normality's branches turn on, and d across (0, 1)
+    for n in (50, 51, 99, 139, 140, 141, 160, 1000, 4161):
+        ds = np.concatenate([np.linspace(0.0, 1.0, 41),
+                             np.sqrt(np.geomspace(0.3, 400.0, 40) / n)])
+        for d in ds[ds < 1.2]:
+            assert _kstwo_sf(n, d) == sps.kstwo.sf(d, n), (n, float(d))
+    assert math.isnan(_kstwo_sf(60, np.float64(math.nan)))
+
+
+@pytest.mark.parametrize("law", ["normal", "t3", "exponential", "shifted"])
+def test_ks_normality_gives_scipys_kstest(law):
+    draw = {"normal": lambda g, n: g.standard_normal(n),
+            "t3": lambda g, n: g.standard_t(3, n),
+            "exponential": lambda g, n: g.exponential(size=n),
+            "shifted": lambda g, n: g.standard_normal(n) + 3.0}
+    for n in [*range(50, 161), 1000, 4161]:
+        x = draw[law](np.random.default_rng(n), n)
+        rep = ks_normality(x)
+        ref = sps.kstest((x - x.mean()) / x.std(ddof=1), "norm")
+        assert (rep.statistic, rep.p_value) == (float(ref.statistic),
+                                                float(ref.pvalue)), n
 
 
 def test_fdd_covariance_contracts():
