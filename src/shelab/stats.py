@@ -14,6 +14,10 @@ finalize reduces the records in replicate_id order, so the estimate does not
 depend on the order of add() calls.  The drivers concatenate worker chunks
 in id order and add every row to one accumulator; merge() (a disjoint union
 of partial accumulators) is a library convenience that no driver uses.
+
+ks_normality takes its p-value from _kstwo_sf, a port of
+scipy.stats.kstwo.sf that returns scipy's bits, so this module needs only
+scipy.special, which every run loads.
 """
 
 from __future__ import annotations
